@@ -1,3 +1,10 @@
+import contextlib
+import hashlib
+import io
+import shlex
+
+import pytest
+
 from ccker.cli import main
 
 
@@ -189,3 +196,353 @@ class TestReduce:
         assert code == 0
         assert "reduction=nae_to_urfc_pairs" in out
         assert "output_vertices=4" in out
+
+
+# ---------------------------------------------------------------------------
+# The whole CLI surface, pinned: exit code, stdout and output file digest of
+# every step.  Each case runs its steps in a fresh directory that holds
+# rel.nur; generated inputs come from the case's own gen steps.
+# ---------------------------------------------------------------------------
+
+GEN = {
+    "urfc": "gen --problem urfc --d 2 --l 2 --q 3 --n 6 --seed 5 --density 0.05 "
+    "--edge-density 0.2 -o i.urfc",
+    "gurfc": "gen --problem gurfc --q 3 --n 5 --blocks 2:2,1:3 --density 0.05 "
+    "--edge-density 0.2 --seed 3 -o i.gurfc",
+    "rcc": "gen --problem rcc --relation rel3.nur --n 5 --density 0.3 --seed 4 -o i.rcc",
+    "rclc": "gen --problem rclc --relation 'nur d=1 l=3 q=3' --n 5 --density 0.05 "
+    "--seed 4 -o i.rclc",
+    "cnf": "gen --problem cnf --n 5 --k 3 --count 6 --seed 1 -o i.cnf",
+    "cliquekv": "gen --problem cliquekv --k 5 --t 2 --count 3 --density 0.6 "
+    "--edge-density 0.2 --seed 3 -o i.cliquekv",
+    "hypergraph": "gen --problem hypergraph --n 6 --l 3 --seed 2 -o i.hypergraph",
+    "graph": "gen --problem graph --n 6 --seed 2 -o i.graph",
+}
+# Flags each kind's oracle needs besides the input.
+SOLVE_FLAGS = {"hypergraph": "--q 2", "cliquekv": "--q 3"}
+KERNEL_FLAGS = {"cliquekv": "--q 3 --t 2"}
+# transform -> (steps that make the input, input, reduce flags, verify flags)
+TRANSFORM_CASES = {
+    "sat-rclc": (GEN["cnf"], "i.cnf", "--relation rel.nur", ""),
+    "rclc-rcc": (GEN["rclc"], "i.rclc", "", ""),
+    "nae-urfc": (GEN["cnf"], "i.cnf", "--variant pairs", ""),
+    "urfc-hypergraph": (
+        "gen --problem urfc --d 1 --l 3 --q 3 --n 5 --seed 2 -o h.urfc", "h.urfc", "", ""
+    ),
+    "cliquekv-gurfc": (GEN["cliquekv"], "i.cliquekv", "--q 3 --t 2", "--q 3"),
+    "gurfc-cliquekv": (GEN["gurfc"], "i.gurfc", "", ""),
+}
+
+
+def _surface_cases():
+    cases = {f"gen-{kind}": [cmd] for kind, cmd in GEN.items()}
+    for kind in ("urfc", "gurfc", "rcc", "rclc", "cnf", "cliquekv", "hypergraph"):
+        flags = SOLVE_FLAGS.get(kind, "")
+        for count in ("", " --count"):
+            cases[f"solve-{kind}{count.replace(' --', '-')}"] = [
+                GEN[kind], f"solve --problem {kind} {flags}{count} i.{kind}"
+            ]
+    cases["solve-cnf-nae-count"] = [GEN["cnf"], "solve --problem cnf --mode nae --count i.cnf"]
+    for kind in ("urfc", "gurfc", "rcc", "cliquekv"):
+        flags = KERNEL_FLAGS.get(kind, "")
+        cases[f"kernel-{kind}"] = [
+            GEN[kind],
+            f"kernelize --problem {kind} {flags} i.{kind} -o k.{kind}",
+            f"verify --mode kernel --problem {kind} {SOLVE_FLAGS.get(kind, '')} "
+            f"i.{kind} k.{kind}",
+        ]
+    for name, (make, source, flags, verify_flags) in TRANSFORM_CASES.items():
+        cases[f"reduce-{name}"] = [
+            make,
+            f"reduce --transform {name} {flags} {source} -o out",
+            f"verify --mode reduction --transform {name} {verify_flags} {source} out",
+        ]
+    cases["reduce-nae-urfc-singletons"] = [
+        GEN["cnf"],
+        "reduce --transform nae-urfc i.cnf -o out",
+        "verify --mode reduction --transform nae-urfc i.cnf out",
+    ]
+    cases["verify-mismatch"] = [
+        GEN["urfc"],
+        GEN["urfc"].replace("--seed 5", "--seed 6").replace("i.urfc", "j.urfc"),
+        "verify --mode kernel --problem urfc i.urfc j.urfc",
+    ]
+    cases["analyze-inline-nur"] = ["analyze 'nur d=2 l=2 q=3'"]
+    cases["analyze-file"] = ["analyze rel.nur"]
+    usage_errors = {
+        "gen-missing-flag": "gen --problem urfc --d 2",
+        "gen-unknown-kind": "gen --problem foo --n 3 -o x",
+        "solve-unknown-kind": "solve --problem graph rel.nur",
+        "solve-missing-file": "solve --problem urfc nowhere.urfc",
+        "solve-wrong-format": "solve --problem urfc rel.nur",
+        "solve-hypergraph-without-q": f"{GEN['hypergraph']}\nsolve --problem hypergraph i.hypergraph",
+        "kernelize-unknown-kind": f"{GEN['cnf']}\nkernelize --problem cnf i.cnf -o k",
+        "verify-kernel-unknown-kind": f"{GEN['cnf']}\nverify --mode kernel --problem cnf i.cnf i.cnf",
+        "verify-kernel-without-problem": f"{GEN['cnf']}\nverify --mode kernel i.cnf i.cnf",
+        "verify-reduction-without-transform": f"{GEN['cnf']}\nverify --mode reduction i.cnf i.cnf",
+        "reduce-unknown-transform": f"{GEN['cnf']}\nreduce --transform cnf-urfc i.cnf -o out",
+        "reduce-without-relation": f"{GEN['cnf']}\nreduce --transform sat-rclc i.cnf -o out",
+        "budget-zero": f"{GEN['urfc']}\nsolve --problem urfc --budget 0 i.urfc",
+        "analyze-missing-relation": "analyze missing.rel",
+    }
+    for name, steps in usage_errors.items():
+        cases[name] = steps.splitlines()
+    budget_errors = {
+        "budget-solve": f"{GEN['urfc']}\nsolve --problem urfc --budget 10 i.urfc",
+        "budget-verify-kernel": f"{GEN['urfc']}\nverify --mode kernel --problem urfc --budget 10 i.urfc i.urfc",
+        "budget-analyze": "analyze --budget 5 rel.nur",
+        "budget-verify-reduction-target": f"{GEN['cnf']}\n"
+        "reduce --transform nae-urfc i.cnf -o out\n"
+        "verify --mode reduction --transform nae-urfc --budget 40 i.cnf out",
+    }
+    for name, steps in budget_errors.items():
+        cases[name] = steps.splitlines()
+    return cases
+
+
+SURFACE_CASES = _surface_cases()
+
+# case -> one (exit code, stdout, first 16 hex digits of the output file's
+# sha256 or None) per step
+SURFACE_PINS = {
+    "analyze-file": [
+        (0, "q=5\nr=3\ntuples=120\npermutation_invariant=yes\nmax_or_arity=3\nwitness_positions=1 2 3\nwitness_alpha=1 1 1\nwitness_beta=2 2 3\neta=3\nnur_witness_items=1 2 3\n", None),
+    ],
+    "analyze-inline-nur": [
+        (0, "q=3\nr=4\ntuples=69\npermutation_invariant=yes\nmax_or_arity=3\nwitness_positions=1 2 3\nwitness_alpha=2 1 2 1\nwitness_beta=1 3 1\neta=3\nnur_witness_items=2 3\n", None),
+    ],
+    "analyze-missing-relation": [
+        (2, "", None),
+    ],
+    "budget-analyze": [
+        (3, "q=5\nr=3\ntuples=120\npermutation_invariant=yes\n", None),
+    ],
+    "budget-solve": [
+        (0, "", "648e45c7b62336dd"),
+        (3, "", None),
+    ],
+    "budget-verify-kernel": [
+        (0, "", "648e45c7b62336dd"),
+        (3, "", None),
+    ],
+    "budget-verify-reduction-target": [
+        (0, "", "2de92710badd85eb"),
+        (0, "reduction=nae_to_urfc_singletons\ninput_parameter=5\noutput_vertices=10\nmultiplicative=2\nadditive=0\ngadget_clause_tuple=6\n", "4827b5cbc7b3a506"),
+        (3, "", None),
+    ],
+    "budget-zero": [
+        (0, "", "648e45c7b62336dd"),
+        (2, "", None),
+    ],
+    "gen-cliquekv": [
+        (0, "", "970a49e1010c0d99"),
+    ],
+    "gen-cnf": [
+        (0, "", "2de92710badd85eb"),
+    ],
+    "gen-graph": [
+        (0, "", "dda87a5e5b642fe4"),
+    ],
+    "gen-gurfc": [
+        (0, "", "80201073d52aa814"),
+    ],
+    "gen-hypergraph": [
+        (0, "", "5f6c3a9912b702dd"),
+    ],
+    "gen-missing-flag": [
+        (2, "", None),
+    ],
+    "gen-rcc": [
+        (0, "", "c36e77ac4a358a0d"),
+    ],
+    "gen-rclc": [
+        (0, "", "d0c5503e27038fcf"),
+    ],
+    "gen-unknown-kind": [
+        (2, "", None),
+    ],
+    "gen-urfc": [
+        (0, "", "648e45c7b62336dd"),
+    ],
+    "kernel-cliquekv": [
+        (0, "", "970a49e1010c0d99"),
+        (0, "reduction=kernelize_cliquekv\ninput_parameter=5\noutput_vertices=19\nmultiplicative=1\nadditive=14\ngadget_surviving_tuples=8\ngadget_exponent=3\n", "2f170daa59bf163b"),
+        (0, "verified\n", None),
+    ],
+    "kernel-gurfc": [
+        (0, "", "80201073d52aa814"),
+        (0, "method=poly; d=2; l=2; q=3; eta=3; field_p=3; capture_item=3; basis_size=3; binom_bound=816\nmethod=dedup; d=1; l=3; q=3; eta=3\nconstraints=7\n", "a7366a95344cb128"),
+        (0, "verified\n", None),
+    ],
+    "kernel-rcc": [
+        (0, "", "c36e77ac4a358a0d"),
+        (0, "method=product_pruning\nremoved=0\nconstraints=41\n", "d367613995fb1cb3"),
+        (0, "verified\n", None),
+    ],
+    "kernel-urfc": [
+        (0, "", "648e45c7b62336dd"),
+        (0, "method=poly\nd=2\nl=2\nq=3\neta=3\nfield_p=3\ncapture_item=3\nbasis_size=6\nbinom_bound=1330\nconstraints=9\ntuple_bits=12\n", "580159514380610c"),
+        (0, "verified\n", None),
+    ],
+    "kernelize-unknown-kind": [
+        (0, "", "2de92710badd85eb"),
+        (2, "", None),
+    ],
+    "reduce-cliquekv-gurfc": [
+        (0, "", "970a49e1010c0d99"),
+        (0, "reduction=extract_clique_constraints\ninput_parameter=5\noutput_vertices=5\nmultiplicative=1\nadditive=0\ngadget_block_l1=2\ngadget_block_l2=6\n", "22ff9e5c06ba03ef"),
+        (0, "verified\n", None),
+    ],
+    "reduce-gurfc-cliquekv": [
+        (0, "", "80201073d52aa814"),
+        (0, "reduction=gurfc_to_cliquekv\ninput_parameter=5\noutput_vertices=17\nmultiplicative=1\nadditive=12\ngadget_fresh_cliques=5\n", "e246cc9abadf929f"),
+        (0, "verified\n", None),
+    ],
+    "reduce-nae-urfc": [
+        (0, "", "2de92710badd85eb"),
+        (0, "reduction=nae_to_urfc_pairs\ninput_parameter=5\noutput_vertices=10\nmultiplicative=2\nadditive=0\ngadget_clause_tuple=6\n", "0ce1c813e34c927d"),
+        (0, "verified\n", None),
+    ],
+    "reduce-nae-urfc-singletons": [
+        (0, "", "2de92710badd85eb"),
+        (0, "reduction=nae_to_urfc_singletons\ninput_parameter=5\noutput_vertices=10\nmultiplicative=2\nadditive=0\ngadget_clause_tuple=6\n", "4827b5cbc7b3a506"),
+        (0, "verified\n", None),
+    ],
+    "reduce-rclc-rcc": [
+        (0, "", "d0c5503e27038fcf"),
+        (0, "reduction=rclc_to_rcc\ninput_parameter=5\noutput_vertices=8\nmultiplicative=1\nadditive=3\ngadget_palette_clique=1\n", "f5b1f54938a8cf59"),
+        (0, "verified\n", None),
+    ],
+    "reduce-sat-rclc": [
+        (0, "", "2de92710badd85eb"),
+        (0, "reduction=sat_to_rclc\ninput_parameter=5\noutput_vertices=70\nmultiplicative=14\nadditive=0\ngadget_tf_pair=15\ngadget_forbid_pair_distinct=20\ngadget_forbid_pair_equal=0\n", "788976855026555c"),
+        (0, "verified\n", None),
+    ],
+    "reduce-unknown-transform": [
+        (0, "", "2de92710badd85eb"),
+        (2, "", None),
+    ],
+    "reduce-urfc-hypergraph": [
+        (0, "", "f20044f6544f9a7f"),
+        (0, "reduction=urfc_to_hypergraph\ninput_parameter=5\noutput_vertices=11\nmultiplicative=1\nadditive=6\ngadget_pad_vertices=6\n", "a7fa687efefb7a80"),
+        (0, "verified\n", None),
+    ],
+    "reduce-without-relation": [
+        (0, "", "2de92710badd85eb"),
+        (2, "", None),
+    ],
+    "solve-cliquekv": [
+        (0, "", "970a49e1010c0d99"),
+        (0, "YES\n", None),
+    ],
+    "solve-cliquekv-count": [
+        (0, "", "970a49e1010c0d99"),
+        (0, "YES\n", None),
+    ],
+    "solve-cnf": [
+        (0, "", "2de92710badd85eb"),
+        (0, "YES\n", None),
+    ],
+    "solve-cnf-count": [
+        (0, "", "2de92710badd85eb"),
+        (0, "YES\ncount=17\n", None),
+    ],
+    "solve-cnf-nae-count": [
+        (0, "", "2de92710badd85eb"),
+        (0, "YES\ncount=10\n", None),
+    ],
+    "solve-gurfc": [
+        (0, "", "80201073d52aa814"),
+        (0, "YES\n", None),
+    ],
+    "solve-gurfc-count": [
+        (0, "", "80201073d52aa814"),
+        (0, "YES\ncount=60\n", None),
+    ],
+    "solve-hypergraph": [
+        (0, "", "5f6c3a9912b702dd"),
+        (0, "YES\n", None),
+    ],
+    "solve-hypergraph-count": [
+        (0, "", "5f6c3a9912b702dd"),
+        (0, "YES\ncount=6\n", None),
+    ],
+    "solve-hypergraph-without-q": [
+        (0, "", "5f6c3a9912b702dd"),
+        (2, "", None),
+    ],
+    "solve-missing-file": [
+        (2, "", None),
+    ],
+    "solve-rcc": [
+        (0, "", "c36e77ac4a358a0d"),
+        (0, "YES\n", None),
+    ],
+    "solve-rcc-count": [
+        (0, "", "c36e77ac4a358a0d"),
+        (0, "YES\ncount=6\n", None),
+    ],
+    "solve-rclc": [
+        (0, "", "d0c5503e27038fcf"),
+        (0, "YES\n", None),
+    ],
+    "solve-rclc-count": [
+        (0, "", "d0c5503e27038fcf"),
+        (0, "YES\ncount=4\n", None),
+    ],
+    "solve-unknown-kind": [
+        (2, "", None),
+    ],
+    "solve-urfc": [
+        (0, "", "648e45c7b62336dd"),
+        (0, "YES\n", None),
+    ],
+    "solve-urfc-count": [
+        (0, "", "648e45c7b62336dd"),
+        (0, "YES\ncount=54\n", None),
+    ],
+    "solve-wrong-format": [
+        (2, "", None),
+    ],
+    "verify-kernel-unknown-kind": [
+        (0, "", "2de92710badd85eb"),
+        (2, "", None),
+    ],
+    "verify-kernel-without-problem": [
+        (0, "", "2de92710badd85eb"),
+        (2, "", None),
+    ],
+    "verify-mismatch": [
+        (0, "", "648e45c7b62336dd"),
+        (0, "", "f19649a0e1fbb0f2"),
+        (1, "mismatch\n", None),
+    ],
+    "verify-reduction-without-transform": [
+        (0, "", "2de92710badd85eb"),
+        (2, "", None),
+    ],
+}
+
+
+def run_surface_case(steps, directory):
+    (directory / "rel.nur").write_text("nur d=1 l=3 q=5\n")
+    (directory / "rel3.nur").write_text("nur d=1 l=3 q=3\n")
+    observed = []
+    for step in steps:
+        argv = shlex.split(step)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        digest = None
+        if "-o" in argv:
+            target = directory / argv[argv.index("-o") + 1]
+            if target.exists():
+                digest = hashlib.sha256(target.read_bytes()).hexdigest()[:16]
+        observed.append((code, out.getvalue(), digest))
+    return observed
+
+
+@pytest.mark.parametrize("case", sorted(SURFACE_CASES))
+def test_cli_surface_pinned(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_surface_case(SURFACE_CASES[case], tmp_path) == SURFACE_PINS[case]
