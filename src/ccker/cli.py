@@ -5,6 +5,14 @@ instances), ``solve`` (oracle runs), ``kernelize`` (kernels with a metadata
 header on the output file), ``reduce`` (transformations with a printed size
 report), and ``verify`` (before/after equivalence by oracle).
 
+Two tables drive them.  ``KINDS`` maps each problem kind to how an instance
+is generated from the ``gen`` flags, parsed from a path, decided by its
+oracle and, where a kernel exists, kernelized into (kernel, metadata lines).
+``TRANSFORMS`` maps each transform to (source kind, CNF mode of a formula
+source, target kind, reduction).  ``verify --mode kernel`` compares solution
+sets (yes/no for cliquekv), ``verify --mode reduction`` the yes/no answers of
+the source and target oracles.  A new kind or transform is one new row.
+
 Exit codes: 0 success / verified, 1 verification mismatch, 2 usage or parse
 error, 3 budget exceeded.  All randomness flows from ``--seed``; output
 files are written atomically.
@@ -17,7 +25,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import generate, oracles, polykernel, reductions
 from .budget import BudgetExceededError
@@ -42,65 +50,7 @@ from .relations import (
     nur_witness_items,
 )
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: everything a subcommand needs to run."""
-
-    subcommand: str
-    inputs: tuple[str, ...]
-    output: str | None
-    problem: str | None
-    transform: str | None
-    relation: str | None
-    mode: str | None
-    variant: str | None
-    d: int | None
-    l: int | None
-    q: int | None
-    t: int | None
-    k: int | None
-    n: int | None
-    count: int | None
-    density: float
-    edge_density: float
-    seed: int
-    budget: int | None
-    show_count: bool
-    blocks: str | None
-
-    def __post_init__(self):
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("budget must be positive")
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    get = lambda name, default=None: getattr(args, name, default)
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=tuple(get("inputs", ()) or ()),
-        output=get("output"),
-        problem=get("problem"),
-        transform=get("transform"),
-        relation=get("relation"),
-        mode=get("mode"),
-        variant=get("variant"),
-        d=get("d"),
-        l=get("l"),
-        q=get("q"),
-        t=get("t"),
-        k=get("k"),
-        n=get("n"),
-        count=get("count"),
-        density=get("density", 0.5),
-        edge_density=get("edge_density", 0.3),
-        seed=get("seed", 0),
-        budget=get("budget"),
-        show_count=get("show_count", False),
-        blocks=get("blocks"),
-    )
+__all__ = ["main"]
 
 
 def _read(path: str) -> str:
@@ -124,24 +74,16 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _load_relation(source: str, base: str | None = None):
-    """Relation from a file path or inline text ('nur d=.. l=.. q=..' or a
-    full relation listing)."""
-    candidate = source if base is None else os.path.join(base, source)
-    if os.path.exists(candidate):
-        return parse_relation(_read(candidate))
-    if os.path.exists(source):
-        return parse_relation(_read(source))
-    return parse_relation(source)
+def _load_relation(source: str):
+    """Relation from a file path, or inline text starting 'nur ' or 'relation '."""
+    if not os.path.exists(source) and source.startswith(("nur ", "relation ")):
+        return parse_relation(source)
+    return parse_relation(_read(source))
 
 
 def _relation_loader_for(path: str):
     base = os.path.dirname(os.path.abspath(path))
-
-    def loader(ref: str):
-        return parse_relation(_read(os.path.join(base, ref)))
-
-    return loader
+    return lambda ref: parse_relation(_read(os.path.join(base, ref)))
 
 
 def _require(value, flag: str):
@@ -150,19 +92,183 @@ def _require(value, flag: str):
     return value
 
 
+def _flags(args, *names: str) -> list:
+    """The values of the required flags ``--<name>``, in order."""
+    return [_require(getattr(args, name), f"--{name}") for name in names]
+
+
+def _parse_blocks(args) -> list[tuple[int, int]]:
+    shapes = []
+    for part in _require(args.blocks, "--blocks").split(","):
+        d, _, l = part.partition(":")
+        shapes.append((int(d), int(l)))
+    return shapes
+
+
+def _gen_over_relation(args, gen):
+    relation, shape = _load_relation(_require(args.relation, "--relation"))
+    n = _require(args.n, "--n")
+    return gen(n, relation, args.density, args.edge_density, args.seed, nur_shape=shape)
+
+
+def _kernelize_urfc(inst, args):
+    result = polykernel.kernelize_urfc(inst)
+    kernel = result.instance
+    tuple_bits = inst.d * inst.l * max(1, math.ceil(math.log2(kernel.graph.n + 1)))
+    meta = [f"constraints={kernel.constraint_count}", f"tuple_bits={tuple_bits}"]
+    return kernel, result.report.lines() + meta
+
+
+def _kernelize_gurfc(inst, args):
+    result = polykernel.kernelize_gurfc(inst)
+    meta = ["; ".join(report.lines()) for report in result.reports]
+    meta.append(f"constraints={result.instance.constraint_count}")
+    return result.instance, meta
+
+
+def _kernelize_rcc(inst, args):
+    kernel = polykernel.kernelize_product_pruning(inst)
+    removed = len(inst.constraints) - len(kernel.constraints)
+    meta = ["method=product_pruning", f"removed={removed}"]
+    return kernel, meta + [f"constraints={kernel.constraint_count}"]
+
+
+def _kernelize_cliquekv(inst, args):
+    kernel, report = reductions.kernelize_cliquekv(inst, *_flags(args, "q"), args.t)
+    return kernel, report.lines()
+
+
+# Rows look up the parsers, serialize, find_or_witness and the library functions
+# at call time, through the module attributes where bench/spans.py wraps them.
+class Kind(NamedTuple):
+    """How the CLI handles one problem kind; None where it cannot."""
+
+    gen: Callable  # gen flags -> instance
+    parse: Callable | None = None  # path -> instance
+    # (instance, keywords q, mode, limit, budget) -> solutions, or a bool
+    solve: Callable | None = None
+    kernelize: Callable | None = None  # (instance, flags) -> (kernel, metadata lines)
+
+
+KINDS = {
+    "urfc": Kind(
+        gen=lambda a: generate.gen_urfc(
+            *_flags(a, "n", "d", "l", "q"), a.density, a.edge_density, a.seed
+        ),
+        parse=lambda path: parse_urfc(_read(path)),
+        solve=lambda inst, budget, **_: oracles.solve_urfc(inst, budget=budget),
+        kernelize=_kernelize_urfc,
+    ),
+    "gurfc": Kind(
+        gen=lambda a: generate.gen_gurfc(
+            *_flags(a, "n", "q"), _parse_blocks(a), a.density, a.edge_density, a.seed
+        ),
+        parse=lambda path: parse_gurfc(_read(path)),
+        solve=lambda inst, budget, **_: oracles.solve_urfc(inst, budget=budget),
+        kernelize=_kernelize_gurfc,
+    ),
+    "rcc": Kind(
+        gen=lambda a: _gen_over_relation(a, generate.gen_rcc),
+        parse=lambda path: parse_rcc(_read(path), _relation_loader_for(path)),
+        solve=lambda inst, limit, budget, **_: oracles.solve_rcc(inst, limit, budget),
+        kernelize=_kernelize_rcc,
+    ),
+    "rclc": Kind(
+        gen=lambda a: _gen_over_relation(a, generate.gen_rclc),
+        parse=lambda path: parse_rclc(_read(path), _relation_loader_for(path)),
+        solve=lambda inst, limit, budget, **_: oracles.solve_rclc(inst, limit, budget),
+    ),
+    "cnf": Kind(
+        gen=lambda a: generate.gen_cnf(*_flags(a, "n", "k", "count"), a.seed),
+        parse=lambda path: parse_cnf(_read(path)),
+        solve=lambda inst, mode, limit, budget, **_: oracles.solve_cnf(
+            inst, mode, limit, budget
+        ),
+    ),
+    "cliquekv": Kind(
+        gen=lambda a: generate.gen_cliquekv(
+            *_flags(a, "k", "t"),
+            a.count if a.count is not None else 3,
+            a.seed,
+            a.edge_density,
+            a.density,
+        ),
+        parse=lambda path: parse_cliquekv(_read(path)),
+        solve=lambda inst, q, budget, **_: oracles.cliquekv_colorable(
+            inst, _require(q, "--q"), budget
+        ),
+        kernelize=_kernelize_cliquekv,
+    ),
+    "hypergraph": Kind(
+        gen=lambda a: generate.gen_hypergraph(*_flags(a, "n", "l"), a.density, a.seed),
+        parse=lambda path: parse_hypergraph(_read(path)),
+        solve=lambda inst, q, limit, budget, **_: oracles.solve_hypergraph_qcol(
+            inst, _require(q, "--q"), limit, budget
+        ),
+    ),
+    "graph": Kind(
+        gen=lambda a: generate.gen_graph(*_flags(a, "n"), a.edge_density, a.seed),
+    ),
+}
+
+
+def _kind(problem: str | None, job: str, action: str) -> Kind:
+    """The table row of ``problem``; a usage error if it has no ``job``."""
+    row = KINDS.get(_require(problem, "--problem"))
+    if row is None or getattr(row, job) is None:
+        raise ValueError(f"cannot {action} problem kind {problem!r}")
+    return row
+
+
+def _sat_to_rclc(formula, args):
+    relation, _ = _load_relation(_require(args.relation, "--relation"))
+    width = formula.width
+    if width is None:
+        raise ValueError("formula must have uniform clause width")
+    witness = find_or_witness(relation, width)
+    if witness is None:
+        raise ValueError(f"relation admits no OR witness of arity {width}")
+    return reductions.sat_to_rclc(formula, relation, witness)
+
+
+# transform -> (source kind, CNF mode of a formula source, target kind,
+# reduction: (instance, flags) -> (instance, ReductionReport))
+TRANSFORMS = {
+    "sat-rclc": ("cnf", "sat", "rclc", _sat_to_rclc),
+    "rclc-rcc": ("rclc", None, "rcc", lambda inst, a: reductions.rclc_to_rcc(inst)),
+    "nae-urfc": (
+        "cnf", "nae", "urfc", lambda inst, a: reductions.nae_to_urfc(inst, a.variant)
+    ),
+    "urfc-hypergraph": (
+        "urfc", None, "hypergraph", lambda inst, a: reductions.urfc_to_hypergraph(inst)
+    ),
+    "cliquekv-gurfc": (
+        "cliquekv",
+        None,
+        "gurfc",
+        lambda inst, a: reductions.extract_clique_constraints(
+            inst, *_flags(a, "q", "t")
+        ),
+    ),
+    "gurfc-cliquekv": (
+        "gurfc", None, "cliquekv", lambda inst, a: reductions.gurfc_to_cliquekv(inst)
+    ),
+}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    relation, shape = _load_relation(cfg.inputs[0])
+def cmd_analyze(args) -> int:
+    relation, shape = _load_relation(args.inputs[0])
     print(f"q={relation.q}")
     print(f"r={relation.r}")
     print(f"tuples={len(relation.tuples)}")
     invariant = is_permutation_invariant(relation)
     print(f"permutation_invariant={'yes' if invariant else 'no'}")
-    k = max_or_arity(relation, budget=cfg.budget)
+    k = max_or_arity(relation, budget=args.budget)
     print(f"max_or_arity={k}")
     if k:
         witness = find_or_witness(relation, k)
@@ -176,298 +282,81 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
-def _parse_blocks(text: str) -> list[tuple[int, int]]:
-    shapes = []
-    for part in text.split(","):
-        d, _, l = part.partition(":")
-        shapes.append((int(d), int(l)))
-    return shapes
-
-
-def cmd_gen(cfg: RunConfig) -> int:
-    problem = _require(cfg.problem, "--problem")
-    if problem == "urfc":
-        inst = generate.gen_urfc(
-            _require(cfg.n, "--n"),
-            _require(cfg.d, "--d"),
-            _require(cfg.l, "--l"),
-            _require(cfg.q, "--q"),
-            cfg.density,
-            cfg.edge_density,
-            cfg.seed,
-        )
-    elif problem == "gurfc":
-        inst = generate.gen_gurfc(
-            _require(cfg.n, "--n"),
-            _require(cfg.q, "--q"),
-            _parse_blocks(_require(cfg.blocks, "--blocks")),
-            cfg.density,
-            cfg.edge_density,
-            cfg.seed,
-        )
-    elif problem in ("rcc", "rclc"):
-        relation, shape = _load_relation(_require(cfg.relation, "--relation"))
-        fn = generate.gen_rcc if problem == "rcc" else generate.gen_rclc
-        inst = fn(
-            _require(cfg.n, "--n"),
-            relation,
-            cfg.density,
-            cfg.edge_density,
-            cfg.seed,
-            nur_shape=shape,
-        )
-    elif problem == "cnf":
-        inst = generate.gen_cnf(
-            _require(cfg.n, "--n"),
-            _require(cfg.k, "--k"),
-            _require(cfg.count, "--count"),
-            cfg.seed,
-        )
-    elif problem == "cliquekv":
-        inst = generate.gen_cliquekv(
-            _require(cfg.k, "--k"),
-            _require(cfg.t, "--t"),
-            cfg.count if cfg.count is not None else 3,
-            cfg.seed,
-            cfg.edge_density,
-            cfg.density,
-        )
-    elif problem == "hypergraph":
-        inst = generate.gen_hypergraph(
-            _require(cfg.n, "--n"), _require(cfg.l, "--l"), cfg.density, cfg.seed
-        )
-    elif problem == "graph":
-        inst = generate.gen_graph(_require(cfg.n, "--n"), cfg.edge_density, cfg.seed)
-    else:
-        raise ValueError(f"cannot generate problem kind {problem!r}")
-    _write_atomic(cfg.output, serialize(inst))
+def cmd_gen(args) -> int:
+    inst = _kind(args.problem, "gen", "generate").gen(args)
+    _write_atomic(args.output, serialize(inst))
     return 0
 
 
-def _solve_instance(cfg: RunConfig, path: str):
-    """Returns (is_yes, count or None); count is filled when requested."""
-    problem = _require(cfg.problem, "--problem")
-    limit = None if cfg.show_count else 1
-    if problem == "cnf":
-        formula = parse_cnf(_read(path))
-        mode = cfg.mode or "sat"
-        sols = oracles.solve_cnf(formula, mode, limit=limit, budget=cfg.budget)
-        return bool(sols), len(sols) if cfg.show_count else None
-    if problem == "rcc":
-        inst = parse_rcc(_read(path), _relation_loader_for(path))
-        sols = oracles.solve_rcc(inst, limit=limit, budget=cfg.budget)
-    elif problem == "rclc":
-        inst = parse_rclc(_read(path), _relation_loader_for(path))
-        sols = oracles.solve_rclc(inst, limit=limit, budget=cfg.budget)
-    elif problem == "urfc":
-        sols = oracles.solve_urfc(parse_urfc(_read(path)), budget=cfg.budget)
-    elif problem == "gurfc":
-        sols = oracles.solve_urfc(parse_gurfc(_read(path)), budget=cfg.budget)
-    elif problem == "hypergraph":
-        sols = oracles.solve_hypergraph_qcol(
-            parse_hypergraph(_read(path)),
-            _require(cfg.q, "--q"),
-            limit=limit,
-            budget=cfg.budget,
-        )
-    elif problem == "cliquekv":
-        inst = parse_cliquekv(_read(path))
-        yes = oracles.cliquekv_colorable(inst, _require(cfg.q, "--q"), cfg.budget)
-        return yes, None
-    else:
-        raise ValueError(f"cannot solve problem kind {problem!r}")
-    return sols.is_yes, len(sols) if cfg.show_count else None
-
-
-def cmd_solve(cfg: RunConfig) -> int:
-    yes, count = _solve_instance(cfg, cfg.inputs[0])
-    print("YES" if yes else "NO")
-    if count is not None:
-        print(f"count={count}")
+def cmd_solve(args) -> int:
+    row = _kind(args.problem, "solve", "solve")
+    inst = row.parse(args.inputs[0])
+    limit = None if args.show_count else 1
+    found = row.solve(inst, q=args.q, mode=args.mode, limit=limit, budget=args.budget)
+    print("YES" if found else "NO")
+    if args.show_count and not isinstance(found, bool):
+        print(f"count={len(found)}")
     return 0
 
 
-def _header(lines: list[str]) -> str:
-    return "".join(f"# {line}\n" for line in lines)
-
-
-def cmd_kernelize(cfg: RunConfig) -> int:
-    problem = _require(cfg.problem, "--problem")
-    path = cfg.inputs[0]
-    if problem == "urfc":
-        inst = parse_urfc(_read(path))
-        result = polykernel.kernelize_urfc(inst)
-        meta = result.report.lines()
-        meta.append(f"constraints={result.instance.constraint_count}")
-        meta.append(f"tuple_bits={_tuple_bits(result.instance.graph.n, inst.d, inst.l)}")
-        out = serialize(result.instance)
-    elif problem == "gurfc":
-        inst = parse_gurfc(_read(path))
-        result = polykernel.kernelize_gurfc(inst)
-        meta = []
-        for report in result.reports:
-            meta.append("; ".join(report.lines()))
-        meta.append(f"constraints={result.instance.constraint_count}")
-        out = serialize(result.instance)
-    elif problem == "rcc":
-        inst = parse_rcc(_read(path), _relation_loader_for(path))
-        kernel = polykernel.kernelize_product_pruning(inst)
-        meta = [
-            "method=product_pruning",
-            f"removed={len(inst.constraints) - len(kernel.constraints)}",
-            f"constraints={kernel.constraint_count}",
-        ]
-        out = serialize(kernel)
-    elif problem == "cliquekv":
-        inst = parse_cliquekv(_read(path))
-        kernel, report = reductions.kernelize_cliquekv(
-            inst, _require(cfg.q, "--q"), cfg.t
-        )
-        meta = report.lines()
-        out = serialize(kernel)
-    else:
-        raise ValueError(f"cannot kernelize problem kind {problem!r}")
-    _write_atomic(cfg.output, _header(meta) + out)
-    for line in meta:
+def _write_with_header(path: str | None, lines: list[str], inst) -> None:
+    """Write ``inst`` under a ``#`` header of ``lines``, and print the lines."""
+    _write_atomic(path, "".join(f"# {line}\n" for line in lines) + serialize(inst))
+    for line in lines:
         print(line)
+
+
+def cmd_kernelize(args) -> int:
+    row = _kind(args.problem, "kernelize", "kernelize")
+    kernel, meta = row.kernelize(row.parse(args.inputs[0]), args)
+    _write_with_header(args.output, meta, kernel)
     return 0
 
 
-def _tuple_bits(n: int, d: int, l: int) -> int:
-    return d * l * max(1, math.ceil(math.log2(n + 1)))
-
-
-TRANSFORMS = (
-    "sat-rclc",
-    "rclc-rcc",
-    "nae-urfc",
-    "urfc-hypergraph",
-    "cliquekv-gurfc",
-    "gurfc-cliquekv",
-)
-
-
-def cmd_reduce(cfg: RunConfig) -> int:
-    transform = _require(cfg.transform, "--transform")
-    path = cfg.inputs[0]
-    if transform == "sat-rclc":
-        formula = parse_cnf(_read(path))
-        relation, _ = _load_relation(_require(cfg.relation, "--relation"))
-        width = formula.width
-        if width is None:
-            raise ValueError("formula must have uniform clause width")
-        witness = find_or_witness(relation, width)
-        if witness is None:
-            raise ValueError(f"relation admits no OR witness of arity {width}")
-        inst, report = reductions.sat_to_rclc(formula, relation, witness)
-    elif transform == "rclc-rcc":
-        inst, report = reductions.rclc_to_rcc(
-            parse_rclc(_read(path), _relation_loader_for(path))
-        )
-    elif transform == "nae-urfc":
-        inst, report = reductions.nae_to_urfc(
-            parse_cnf(_read(path)), cfg.variant or "singletons"
-        )
-    elif transform == "urfc-hypergraph":
-        inst, report = reductions.urfc_to_hypergraph(parse_urfc(_read(path)))
-    elif transform == "cliquekv-gurfc":
-        inst, report = reductions.extract_clique_constraints(
-            parse_cliquekv(_read(path)),
-            _require(cfg.q, "--q"),
-            _require(cfg.t, "--t"),
-        )
-    elif transform == "gurfc-cliquekv":
-        inst, report = reductions.gurfc_to_cliquekv(parse_gurfc(_read(path)))
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    _write_atomic(cfg.output, _header(report.lines()) + serialize(inst))
-    for line in report.lines():
-        print(line)
+def cmd_reduce(args) -> int:
+    source, _, _, reduce = TRANSFORMS[args.transform]
+    inst, report = reduce(KINDS[source].parse(args.inputs[0]), args)
+    _write_with_header(args.output, report.lines(), inst)
     return 0
 
 
-def _kernel_verify(cfg: RunConfig, before: str, after: str) -> bool:
-    problem = _require(cfg.problem, "--problem")
-    if problem == "urfc":
-        a = oracles.solve_urfc(parse_urfc(_read(before)), budget=cfg.budget)
-        b = oracles.solve_urfc(parse_urfc(_read(after)), budget=cfg.budget)
-        return a.colorings == b.colorings
-    if problem == "gurfc":
-        a = oracles.solve_urfc(parse_gurfc(_read(before)), budget=cfg.budget)
-        b = oracles.solve_urfc(parse_gurfc(_read(after)), budget=cfg.budget)
-        return a.colorings == b.colorings
-    if problem == "rcc":
-        a = oracles.solve_rcc(
-            parse_rcc(_read(before), _relation_loader_for(before)), budget=cfg.budget
-        )
-        b = oracles.solve_rcc(
-            parse_rcc(_read(after), _relation_loader_for(after)), budget=cfg.budget
-        )
-        return a.colorings == b.colorings
-    if problem == "cliquekv":
-        q = _require(cfg.q, "--q")
-        a = oracles.cliquekv_colorable(parse_cliquekv(_read(before)), q, cfg.budget)
-        b = oracles.cliquekv_colorable(parse_cliquekv(_read(after)), q, cfg.budget)
-        return a == b
-    raise ValueError(f"cannot verify kernels for problem kind {problem!r}")
+def _answer(row: Kind, path: str, q, mode, limit, budget):
+    """The solution set (limit None; yes/no where the oracle only decides) or
+    the yes/no answer (limit 1) of the instance at ``path``, and its palette."""
+    inst = row.parse(path)
+    sols = row.solve(inst, q=q, mode=mode, limit=limit, budget=budget)
+    kept = getattr(sols, "colorings", sols) if limit is None else bool(sols)
+    return kept, getattr(inst, "q", q)
 
 
-def _reduction_verify(cfg: RunConfig, before: str, after: str) -> bool:
-    transform = _require(cfg.transform, "--transform")
-    budget = cfg.budget
-    if transform == "sat-rclc":
-        a = bool(oracles.solve_cnf(parse_cnf(_read(before)), "sat", limit=1))
-        b = oracles.solve_rclc(
-            parse_rclc(_read(after), _relation_loader_for(after)), limit=1,
-            budget=budget,
-        ).is_yes
-    elif transform == "rclc-rcc":
-        a = oracles.solve_rclc(
-            parse_rclc(_read(before), _relation_loader_for(before)), limit=1,
-            budget=budget,
-        ).is_yes
-        b = oracles.solve_rcc(
-            parse_rcc(_read(after), _relation_loader_for(after)), limit=1,
-            budget=budget,
-        ).is_yes
-    elif transform == "nae-urfc":
-        a = bool(oracles.solve_cnf(parse_cnf(_read(before)), "nae", limit=1))
-        b = oracles.solve_urfc(parse_urfc(_read(after)), budget=budget).is_yes
-    elif transform == "urfc-hypergraph":
-        inst = parse_urfc(_read(before))
-        a = oracles.solve_urfc(inst, budget=budget).is_yes
-        b = oracles.solve_hypergraph_qcol(
-            parse_hypergraph(_read(after)), inst.q, limit=1, budget=budget
-        ).is_yes
-    elif transform == "gurfc-cliquekv":
-        inst = parse_gurfc(_read(before))
-        a = oracles.solve_urfc(inst, budget=budget).is_yes
-        b = oracles.cliquekv_colorable(parse_cliquekv(_read(after)), inst.q, budget)
-    elif transform == "cliquekv-gurfc":
-        q = _require(cfg.q, "--q")
-        a = oracles.cliquekv_colorable(parse_cliquekv(_read(before)), q, budget)
-        b = oracles.solve_urfc(parse_gurfc(_read(after)), budget=budget).is_yes
+def cmd_verify(args) -> int:
+    if args.mode == "kernel":
+        row = _kind(args.problem, "kernelize", "verify kernels for")
+        rows, mode, limit = (row, row), None, None
     else:
-        raise ValueError(f"unknown transform {transform!r}")
-    return a == b
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    mode = _require(cfg.mode, "--mode")
-    before, after = cfg.inputs
-    if mode == "kernel":
-        ok = _kernel_verify(cfg, before, after)
-    elif mode == "reduction":
-        ok = _reduction_verify(cfg, before, after)
-    else:
-        raise ValueError(f"verify mode must be kernel or reduction, got {mode!r}")
-    print("verified" if ok else "mismatch")
-    return 0 if ok else 1
+        source, mode, target, _ = TRANSFORMS[_require(args.transform, "--transform")]
+        rows, limit = (KINDS[source], KINDS[target]), 1
+    # a reduction's target colors with the source's palette where it has one;
+    # the source is released before the target, which may be far larger, is read
+    a, q = _answer(rows[0], args.inputs[0], args.q, mode, limit, args.budget)
+    b, _ = _answer(rows[1], args.inputs[1], q, mode, limit, args.budget)
+    print("verified" if a == b else "mismatch")
+    return 0 if a == b else 1
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -477,76 +366,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, inputs=1):
+    def command(name, run, help, int_flags=(), inputs=1):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         if inputs:
             p.add_argument("inputs", nargs=inputs, metavar="PATH")
         p.add_argument("-o", "--output", default=None)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=_positive_int, default=None)
+        for flag in int_flags:
+            p.add_argument(f"--{flag}", type=int, default=None)
+        return p
 
-    p = sub.add_parser("analyze", help="relation diagnostics")
-    common(p)
+    command("analyze", cmd_analyze, "relation diagnostics")
 
-    p = sub.add_parser("gen", help="seeded random instance")
-    common(p, inputs=0)
+    gen_flags = ("d", "l", "q", "t", "k", "n", "count")
+    p = command("gen", cmd_gen, "seeded random instance", gen_flags, inputs=0)
     p.add_argument("--problem", required=True)
     p.add_argument("--relation")
     p.add_argument("--blocks", help="gurfc block shapes, e.g. 2:2,1:2")
-    for flag in ("d", "l", "q", "t", "k", "n", "count"):
-        p.add_argument(f"--{flag}", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--edge-density", dest="edge_density", type=float, default=0.3)
 
-    p = sub.add_parser("solve", help="run the brute-force oracle")
-    common(p)
+    p = command("solve", cmd_solve, "run the brute-force oracle", ("q",))
     p.add_argument("--problem", required=True)
-    p.add_argument("--mode", choices=("sat", "nae"), default=None)
-    p.add_argument("--q", type=int, default=None)
+    p.add_argument("--mode", choices=("sat", "nae"), default="sat")
     p.add_argument("--count", dest="show_count", action="store_true")
 
-    p = sub.add_parser("kernelize", help="kernelize an instance")
-    common(p)
+    p = command("kernelize", cmd_kernelize, "kernelize an instance", ("q", "t"))
     p.add_argument("--problem", required=True)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
 
-    p = sub.add_parser("reduce", help="apply a transformation")
-    common(p)
+    p = command("reduce", cmd_reduce, "apply a transformation", ("q", "t"))
     p.add_argument("--transform", required=True, choices=TRANSFORMS)
     p.add_argument("--relation")
-    p.add_argument("--variant", choices=("singletons", "pairs"), default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
+    p.add_argument("--variant", choices=("singletons", "pairs"), default="singletons")
 
-    p = sub.add_parser("verify", help="compare instances by oracle")
-    common(p, inputs=2)
+    p = command("verify", cmd_verify, "compare instances by oracle", ("q",), inputs=2)
     p.add_argument("--mode", required=True, choices=("kernel", "reduction"))
     p.add_argument("--problem")
     p.add_argument("--transform", choices=TRANSFORMS)
-    p.add_argument("--q", type=int, default=None)
 
     return parser
 
 
-COMMANDS = {
-    "analyze": cmd_analyze,
-    "gen": cmd_gen,
-    "solve": cmd_solve,
-    "kernelize": cmd_kernelize,
-    "reduce": cmd_reduce,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config(args)
-        return COMMANDS[cfg.subcommand](cfg)
+        return args.run(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

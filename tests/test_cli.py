@@ -61,6 +61,15 @@ class TestAnalyze:
         code, _ = run(capsys, "analyze", str(path))
         assert code == 2
 
+    def test_missing_relation_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.rel")
+        for argv in (["analyze", missing],
+                     ["gen", "--problem", "rcc", "--n", "3", "--relation", missing]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "No such file" in err and "missing.rel" in err
+            assert "expected 'relation' line" not in err
+
 
 class TestSolve:
     def test_cnf_nae_count(self, tmp_path, capsys):
@@ -77,6 +86,42 @@ class TestSolve:
         code, _ = run(capsys, "solve", "--problem", "urfc", "--budget", "10",
                       str(tmp_path / "big.urfc"))
         assert code == 3
+
+
+class TestBudgetFlag:
+    ARGV = {
+        "analyze": ["analyze", "rel.nur"],
+        "gen": ["gen", "--problem", "graph", "--n", "3"],
+        "solve": ["solve", "--problem", "urfc", "i.urfc"],
+        "kernelize": ["kernelize", "--problem", "urfc", "i.urfc"],
+        "reduce": ["reduce", "--transform", "nae-urfc", "f.cnf"],
+        "verify": ["verify", "--mode", "kernel", "--problem", "urfc", "i.urfc", "i.urfc"],
+    }
+
+    @pytest.mark.parametrize("value", ["0", "-5", "ten"])
+    @pytest.mark.parametrize("subcommand", sorted(ARGV))
+    def test_nonpositive_budget_is_usage_error(self, subcommand, value, capsys):
+        assert main(self.ARGV[subcommand] + ["--budget", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --budget: must be a positive integer" in captured.err
+
+    def test_budget_reaches_the_cnf_side_of_reduction_verify(self, tmp_path, capsys):
+        cnf, rel, rclc = tmp_path / "f.cnf", tmp_path / "rel.nur", tmp_path / "f.rclc"
+        assert main(["gen", "--problem", "cnf", "--n", "12", "--k", "3", "--count",
+                     "2", "--seed", "1", "-o", str(cnf)]) == 0
+        rel.write_text("nur d=1 l=3 q=5\n")
+        assert main(["reduce", "--transform", "sat-rclc", "--relation", str(rel),
+                     str(cnf), "-o", str(rclc)]) == 0
+        # the rclc side decides within the budget; the formula's 2^12
+        # assignments exceed it
+        assert main(["solve", "--problem", "rclc", "--budget", "1000", str(rclc)]) == 0
+        capsys.readouterr()
+        code = main(["verify", "--mode", "reduction", "--transform", "sat-rclc",
+                     "--budget", "1000", str(cnf), str(rclc)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "assignment enumeration: 4096 steps exceed budget 1000" in captured.err
 
 
 class TestKernelizeAndVerify:
@@ -201,7 +246,7 @@ class TestReduce:
 # ---------------------------------------------------------------------------
 # The whole CLI surface, pinned: exit code, stdout and output file digest of
 # every step.  Each case runs its steps in a fresh directory that holds
-# rel.nur; generated inputs come from the case's own gen steps.
+# rel.nur and rel3.nur; other inputs come from the case's own gen steps.
 # ---------------------------------------------------------------------------
 
 GEN = {
@@ -242,7 +287,9 @@ def _surface_cases():
             cases[f"solve-{kind}{count.replace(' --', '-')}"] = [
                 GEN[kind], f"solve --problem {kind} {flags}{count} i.{kind}"
             ]
-    cases["solve-cnf-nae-count"] = [GEN["cnf"], "solve --problem cnf --mode nae --count i.cnf"]
+    cases["solve-cnf-nae-count"] = [
+        GEN["cnf"], "solve --problem cnf --mode nae --count i.cnf"
+    ]
     for kind in ("urfc", "gurfc", "rcc", "cliquekv"):
         flags = KERNEL_FLAGS.get(kind, "")
         cases[f"kernel-{kind}"] = [
@@ -270,33 +317,43 @@ def _surface_cases():
     cases["analyze-inline-nur"] = ["analyze 'nur d=2 l=2 q=3'"]
     cases["analyze-file"] = ["analyze rel.nur"]
     usage_errors = {
-        "gen-missing-flag": "gen --problem urfc --d 2",
-        "gen-unknown-kind": "gen --problem foo --n 3 -o x",
-        "solve-unknown-kind": "solve --problem graph rel.nur",
-        "solve-missing-file": "solve --problem urfc nowhere.urfc",
-        "solve-wrong-format": "solve --problem urfc rel.nur",
-        "solve-hypergraph-without-q": f"{GEN['hypergraph']}\nsolve --problem hypergraph i.hypergraph",
-        "kernelize-unknown-kind": f"{GEN['cnf']}\nkernelize --problem cnf i.cnf -o k",
-        "verify-kernel-unknown-kind": f"{GEN['cnf']}\nverify --mode kernel --problem cnf i.cnf i.cnf",
-        "verify-kernel-without-problem": f"{GEN['cnf']}\nverify --mode kernel i.cnf i.cnf",
-        "verify-reduction-without-transform": f"{GEN['cnf']}\nverify --mode reduction i.cnf i.cnf",
-        "reduce-unknown-transform": f"{GEN['cnf']}\nreduce --transform cnf-urfc i.cnf -o out",
-        "reduce-without-relation": f"{GEN['cnf']}\nreduce --transform sat-rclc i.cnf -o out",
-        "budget-zero": f"{GEN['urfc']}\nsolve --problem urfc --budget 0 i.urfc",
-        "analyze-missing-relation": "analyze missing.rel",
+        "gen-missing-flag": ["gen --problem urfc --d 2"],
+        "gen-unknown-kind": ["gen --problem foo --n 3 -o x"],
+        "solve-unknown-kind": ["solve --problem graph rel.nur"],
+        "solve-missing-file": ["solve --problem urfc nowhere.urfc"],
+        "solve-wrong-format": ["solve --problem urfc rel.nur"],
+        "solve-hypergraph-without-q": [
+            GEN["hypergraph"], "solve --problem hypergraph i.hypergraph"
+        ],
+        "kernelize-unknown-kind": [GEN["cnf"], "kernelize --problem cnf i.cnf -o k"],
+        "verify-kernel-unknown-kind": [
+            GEN["cnf"], "verify --mode kernel --problem cnf i.cnf i.cnf"
+        ],
+        "verify-kernel-without-problem": [GEN["cnf"], "verify --mode kernel i.cnf i.cnf"],
+        "verify-reduction-without-transform": [
+            GEN["cnf"], "verify --mode reduction i.cnf i.cnf"
+        ],
+        "reduce-unknown-transform": [
+            GEN["cnf"], "reduce --transform cnf-urfc i.cnf -o out"
+        ],
+        "reduce-without-relation": [GEN["cnf"], "reduce --transform sat-rclc i.cnf -o out"],
+        "budget-zero": [GEN["urfc"], "solve --problem urfc --budget 0 i.urfc"],
+        "analyze-missing-relation": ["analyze missing.rel"],
     }
-    for name, steps in usage_errors.items():
-        cases[name] = steps.splitlines()
     budget_errors = {
-        "budget-solve": f"{GEN['urfc']}\nsolve --problem urfc --budget 10 i.urfc",
-        "budget-verify-kernel": f"{GEN['urfc']}\nverify --mode kernel --problem urfc --budget 10 i.urfc i.urfc",
-        "budget-analyze": "analyze --budget 5 rel.nur",
-        "budget-verify-reduction-target": f"{GEN['cnf']}\n"
-        "reduce --transform nae-urfc i.cnf -o out\n"
-        "verify --mode reduction --transform nae-urfc --budget 40 i.cnf out",
+        "budget-solve": [GEN["urfc"], "solve --problem urfc --budget 10 i.urfc"],
+        "budget-verify-kernel": [
+            GEN["urfc"], "verify --mode kernel --problem urfc --budget 10 i.urfc i.urfc"
+        ],
+        "budget-analyze": ["analyze --budget 5 rel.nur"],
+        "budget-verify-reduction-target": [
+            GEN["cnf"],
+            "reduce --transform nae-urfc i.cnf -o out",
+            "verify --mode reduction --transform nae-urfc --budget 40 i.cnf out",
+        ],
     }
-    for name, steps in budget_errors.items():
-        cases[name] = steps.splitlines()
+    cases.update(usage_errors)
+    cases.update(budget_errors)
     return cases
 
 
