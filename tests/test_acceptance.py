@@ -6,6 +6,7 @@ either fixed constants, independently recomputed reference formulas, or
 exhaustive oracle runs.
 """
 
+import hashlib
 import itertools
 import math
 import time
@@ -13,7 +14,7 @@ import time
 import pytest
 
 from ccker import generate
-from ccker.instances import Graph, ListAssignment, RclcInstance
+from ccker.instances import Graph, ListAssignment, RclcInstance, serialize
 from ccker.oracles import (
     cliquekv_colorable,
     extend_to_cliques,
@@ -156,6 +157,19 @@ def test_kernel_size():
         trivial = inst.constraint_count
         if trivial > result.report.binom_bound:
             assert len(result.instance.tuples) < trivial
+
+
+# sha256 over the serialized kernels of criteria 3 and 4, in order, as the
+# sparse dict elimination engine produced them; any engine must reproduce it
+KERNELS_SHA256 = "82bc675136e48791c6ecf5bcdc987c1a96d40e66f2121dedee51d5c4da9571bd"
+
+
+def test_kernel_digest():
+    digest = hashlib.sha256()
+    for idx, (d, l, q) in enumerate(KERNEL_SHAPES):
+        for _, result in _kernel_runs(idx, d, l, q):
+            digest.update(serialize(result.instance).encode())
+    assert digest.hexdigest() == KERNELS_SHA256
 
 
 @pytest.mark.acceptance("5 reduction-soundness")

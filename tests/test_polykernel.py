@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ccker import generate
@@ -26,6 +26,64 @@ from ccker.polykernel import (
     vandermonde_set,
 )
 from ccker.relations import make_nur
+
+
+def reference_kernel_tuples(inst, cp):
+    """The sparse dict engine that kernelize_poly used before the dense one:
+    instantiate each tuple's capture polynomial term by term, then keep the
+    row basis in reduced row-echelon form.  Returns the kept tuples."""
+    p, m = cp.field.p, cp.m
+    terms = [
+        (coeff, tuple((var // m, var % m, exp) for var, exp in mono))
+        for mono, coeff in cp.poly.terms.items()
+    ]
+    ids: dict = {}
+    keys: list = []
+    pivot_rows: dict = {}
+    kept = []
+    for tp in inst.tuples:
+        base = [(v - 1) * m for v in (v for s in tp for v in s)]
+        poly: dict = {}
+        for coeff, tvars in terms:
+            exps: dict = {}
+            for col, row, exp in tvars:
+                g = base[col] + row
+                exps[g] = exps.get(g, 0) + exp
+            mono = tuple(sorted(exps.items()))
+            if mono not in ids:
+                ids[mono] = len(keys)
+                keys.append((-sum(e for _, e in mono), tuple((v, -e) for v, e in mono)))
+            key = ids[mono]
+            c = (poly.get(key, 0) + coeff) % p
+            if c:
+                poly[key] = c
+            else:
+                poly.pop(key, None)
+        for mid in [mid for mid in poly if mid in pivot_rows]:
+            c = poly.get(mid, 0)
+            for m2, c2 in pivot_rows[mid].items():
+                nc = (poly.get(m2, 0) - c * c2) % p
+                if nc:
+                    poly[m2] = nc
+                else:
+                    poly.pop(m2, None)
+        if not poly:
+            continue
+        lead = min(poly, key=lambda mid: keys[mid])
+        inv = pow(poly[lead], -1, p)
+        row = {mid: c * inv % p for mid, c in poly.items()}
+        for other in pivot_rows.values():
+            c = other.get(lead, 0)
+            if c:
+                for m2, c2 in row.items():
+                    nc = (other.get(m2, 0) - c * c2) % p
+                    if nc:
+                        other[m2] = nc
+                    else:
+                        other.pop(m2, None)
+        pivot_rows[lead] = row
+        kept.append(tp)
+    return tuple(kept)
 
 
 def modular_rank(rows, p):
@@ -164,6 +222,19 @@ class TestDetPoly:
             det_poly(2, 3, PrimeField(5))
 
 
+# (d, l, q, largest n) for the reference-engine comparison: p = 2, 3 and 5,
+# small enough that the dict engine stays fast
+REFERENCE_SHAPES = [
+    (2, 2, 2, 7),
+    (1, 3, 2, 7),
+    (2, 3, 2, 6),
+    (2, 2, 3, 6),
+    (3, 2, 3, 5),
+    (2, 3, 3, 5),
+    (3, 1, 4, 7),
+    (4, 1, 5, 7),
+]
+
 CAPTURE_SHAPES = [(2, 1, 3), (3, 1, 4), (2, 2, 2), (2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 2, 4)]
 
 
@@ -256,6 +327,38 @@ class TestKernelizePoly:
         cp = build_capture(2, 2, 3)
         inst = generate.gen_urfc(6, 2, 2, 3, 0.8, 0.2, 9)
         assert kernelize_poly(inst, cp) == kernelize_poly(inst, cp)
+
+    @given(st.data())
+    @settings(
+        max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_matches_reference_engine(self, data):
+        d, l, q, n_max = data.draw(st.sampled_from(REFERENCE_SHAPES), label="shape")
+        n = data.draw(st.integers(d, n_max), label="n")
+        vertex_set = st.lists(
+            st.integers(1, n), min_size=d, max_size=d, unique=True
+        )
+        tuples = data.draw(
+            st.lists(st.lists(vertex_set, min_size=l, max_size=l), max_size=80),
+            label="tuples",
+        )
+        inst = UrfcInstance(Graph(n, ()), q, d, l, tuples)
+        cp = build_capture(d, l, q)
+        assert kernelize_poly(inst, cp).tuples == reference_kernel_tuples(inst, cp)
+
+    @pytest.mark.parametrize(
+        "d,l,q,n", [(2, 2, 2, 8), (2, 3, 2, 6), (2, 2, 3, 7), (3, 1, 4, 11), (4, 1, 5, 10)]
+    )
+    def test_dependent_runs_match_reference(self, d, l, q, n):
+        # every tuple of a small space: the rank saturates early, so long runs
+        # of consecutive tuples (whole elimination batches) are dependent
+        inst = generate.gen_urfc(n, d, l, q, 1.0, 0.0, 0)
+        cp = build_capture(d, l, q)
+        kept = kernelize_poly(inst, cp).tuples
+        assert kept == reference_kernel_tuples(inst, cp)
+        index = {tp: i for i, tp in enumerate(inst.tuples)}
+        marks = [-1] + [index[tp] for tp in kept] + [len(inst.tuples)]
+        assert max(b - a for a, b in zip(marks, marks[1:])) > 64
 
 
 class TestKernelizeUrfc:
