@@ -12,7 +12,7 @@ import os
 ENV_VAR = "CCKER_BUDGET"
 
 # Explicit tuple/matrix enumerations (relation construction, witness search,
-# capture checks).
+# capture checks, the polynomial kernel's tuples x monomials matrix).
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
 # Oracle search effort: colorings in full-enumeration mode, explored nodes in

@@ -15,6 +15,7 @@ decision mode (``limit`` set) instead charges explored search nodes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,6 +118,8 @@ def _dfs_colorings(n, q, lists, adjacency, checks, limit, budget):
     colors = [0] * (n + 1)
     solutions: list[tuple[int, ...]] = []
     nodes = 0
+    # full enumeration was charged q^n up front; only decision mode meters nodes
+    node_budget = budget if limit is not None else math.inf
 
     def rec(depth: int) -> bool:
         nonlocal nodes
@@ -126,7 +129,7 @@ def _dfs_colorings(n, q, lists, adjacency, checks, limit, budget):
         v = order[depth]
         for c in sorted(domains[v]):
             nodes += 1
-            if nodes > budget:
+            if nodes > node_budget:
                 charge("coloring search nodes", nodes, budget)
             colors[v] = c
             ok = all(
@@ -147,7 +150,10 @@ def _dfs_colorings(n, q, lists, adjacency, checks, limit, budget):
             colors[v] = 0
         return False
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        del rec  # rec refers to itself; drop the cycle before returning
     solutions.sort()
     return solutions
 

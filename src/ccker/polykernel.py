@@ -11,6 +11,15 @@ b*m + a.  When a polynomial is instantiated on a constraint tuple, column b
 carries the variable vector of the b-th vertex of the tuple (sets in
 canonical order, vertices ascending within each set), and vertex v owns the
 global variables (v-1)*m .. (v-1)*m + m - 1.
+
+The polynomial-basis kernel runs on a dense numpy engine.  The capture is
+instantiated on all tuples at once into a tuples x monomials coefficient
+matrix over GF(p), and the kept tuples are the row rank profile of that
+matrix: the rows independent of all rows before them.  Blocked elimination
+finds it, with float64 GEMMs against the basis and int32 pivoting inside
+each block of rows; ``kernelize_poly`` states when both are exact.  The
+profile is a property of the row space, so neither the column order nor the
+numbering of the monomials changes which tuples are kept.
 """
 
 from __future__ import annotations
@@ -395,109 +404,189 @@ def check_captures(
 # ---------------------------------------------------------------------------
 
 
-def _compile_terms(cp: CapturePair):
-    """Pre-split each capture monomial into (coefficient, ((col, row, exp)..))
-    so instantiation avoids per-variable divmods."""
-    m = cp.m
-    return [
-        (coeff, tuple((var // m, var % m, exp) for var, exp in mono))
-        for mono, coeff in cp.poly.terms.items()
-    ]
+# Rows per elimination batch, and the id-array build's memory target.
+_BATCH_ROWS = 32
+_CHUNK_IDS = 1 << 18
 
 
-def _instantiate(terms, m, p, flat_vertices, intern):
-    """Intern the capture polynomial instantiated on a constraint tuple:
-    column b's variables become vertex flat_vertices[b]'s variables.
-    Colliding variables (a vertex shared between sets) merge exponents."""
-    base = [(v - 1) * m for v in flat_vertices]
-    poly: dict[int, int] = {}
-    get = poly.get
-    for coeff, tvars in terms:
-        pairs = sorted((base[col] + row, exp) for col, row, exp in tvars)
-        merged = []
-        last = -1
-        for g, e in pairs:
-            if g == last:
-                merged[-1] = (g, merged[-1][1] + e)
-            else:
-                merged.append((g, e))
-                last = g
-        key = intern(tuple(merged))
-        c = (get(key, 0) + coeff) % p
-        if c:
-            poly[key] = c
-        elif key in poly:
-            del poly[key]
-    return poly
+def _capture_slots(cp: CapturePair):
+    """The capture's terms as a (terms, width) array of variable slots, and
+    their coefficients.
+
+    Slot ``col*m + row`` is the variable in row ``row`` of column ``col``;
+    each term lists its slots repeated by exponent, padded with -1.  A
+    capture of degree 0 gets width 1, all padding."""
+    flats = [[v for v, e in mono for _ in range(e)] for mono in cp.poly.terms]
+    slots = np.full((len(flats), max(map(len, flats), default=0) or 1), -1)
+    for t, flat in enumerate(flats):
+        slots[t, : len(flat)] = flat
+    return slots, np.array(list(cp.poly.terms.values()), dtype=np.float64)
 
 
-def kernelize_poly(inst: UrfcInstance, cp: CapturePair) -> UrfcInstance:
+def _monomial_ids(inst: UrfcInstance, m: int, slots: np.ndarray):
+    """Intern the monomials of every tuple's instantiated capture.
+
+    Column ``col`` of the capture becomes the ``col``-th vertex v of the tuple,
+    so slot (col, row) becomes global variable (v-1)*m + row.  Sorting each
+    term's variables merges the exponents of a vertex shared between sets.
+    Returns ``(ids, count)`` with ids[r, t] the monomial of term t on tuple r.
+    """
+    rows = len(inst.tuples)
+    terms, width = slots.shape
+    pad = m * inst.graph.n  # sorts after every variable
+    vertices = np.array(
+        [[v for s in tp for v in s] for tp in inst.tuples], dtype=np.int64
+    )
+    valid = slots >= 0
+    col = np.where(valid, slots // m, 0)
+    offset = slots % m - m
+    ids = np.empty((rows, terms, width), dtype=np.min_scalar_type(pad))
+    step = max(1, _CHUNK_IDS // (terms * width))
+    for r0 in range(0, rows, step):
+        chunk = vertices[r0 : r0 + step, col] * m + offset
+        chunk[:, ~valid] = pad
+        chunk.sort(axis=2)
+        ids[r0 : r0 + step] = chunk
+    flat = ids.reshape(rows * terms, width)
+    order = np.lexsort(flat.T)
+    ranked = flat[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    mono = np.empty(len(order), dtype=np.int64)
+    mono[order] = np.cumsum(fresh) - 1
+    return mono.reshape(rows, terms), int(fresh.sum())
+
+
+def _check_exact(rank: int, terms: int, p: int) -> None:
+    """Refuse a field in which the elimination would not be exact.
+
+    Float64 holds integers exactly below 2^53: the GEMMs sum ``rank``
+    products of residues, and a fresh row sums ``terms`` coefficients.  The
+    int32 batch step subtracts up to ``_BATCH_ROWS`` products of residues
+    from a residue before reducing it.
+    """
+    if max(rank * (p - 1) ** 2, terms * (p - 1)) >= 2**53:
+        raise ValueError(
+            f"GF({p}) elimination over {rank} rows is not exact in float64"
+        )
+    if _BATCH_ROWS * (p - 1) ** 2 + p >= 2**31:
+        raise ValueError(f"GF({p}) batch updates overflow int32")
+
+
+def _triangular_inverse(upper: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of a unit upper-triangular matrix, by back substitution."""
+    k = upper.shape[0]
+    inv = np.eye(k)
+    for i in range(k - 2, -1, -1):
+        inv[i] = (inv[i] - upper[i, i + 1 :] @ inv[i + 1 :]) % p
+    return inv
+
+
+def _grow(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    out = np.zeros((rows, cols))
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
+
+
+def _row_rank_profile(ids, coeffs, count: int, p: int) -> list[int]:
+    """Indices of the rows that are independent of all earlier rows, for the
+    rows x count matrix over GF(p) whose row r sums coeffs[t] at ids[r, t].
+
+    Rows are processed in batches.  The basis B holds each kept row as it was
+    when kept: reduced against every earlier basis row, normalized to 1 at
+    its pivot column.  So B[:, piv] is unit upper triangular, and with its
+    inverse M kept up to date a batch X is reduced in two float64 GEMMs as
+    X - ((X[:, piv] M) mod p) B.  Pivots inside the batch are then found in
+    row order in int32, with one rank-1 update per pivot; a row is reduced
+    mod p only when its turn comes.
+    """
+    rows, terms = ids.shape
+    most = min(rows, count)
+    _check_exact(most, terms, p)
+    weights = np.tile(coeffs, _BATCH_ROWS)
+    size = min(2 * _BATCH_ROWS, most)
+    basis = np.zeros((size, count))
+    inverse = np.zeros((size, size))
+    piv = np.empty(0, dtype=np.int64)
+    kept: list[int] = []
+    k = 0
+    for r0 in range(0, rows, _BATCH_ROWS):
+        b = min(_BATCH_ROWS, rows - r0)
+        cells = (ids[r0 : r0 + b] + count * np.arange(b)[:, None]).ravel()
+        x = np.bincount(cells, weights[: b * terms], b * count).reshape(b, count)
+        if k:
+            factor = ((x[:, piv] % p) @ inverse[:k, :k]) % p
+            x -= factor @ basis[:k]
+        x = (x.astype(np.int64) % p).astype(np.int32)
+        fresh, cols = [], []
+        for i in range(b):
+            row = x[i] % p
+            c = int(np.argmax(row != 0))
+            if not row[c]:
+                continue
+            x[i] = row * pow(int(row[c]), -1, p) % p
+            below = x[i + 1 :]
+            below -= (below[:, c] % p)[:, None] * x[i]
+            fresh.append(i)
+            cols.append(c)
+        if not fresh:
+            continue
+        new = len(fresh)
+        if k + new > basis.shape[0]:
+            size = min(max(2 * basis.shape[0], k + new), most)
+            basis = _grow(basis, size, count)
+            inverse = _grow(inverse, size, size)
+        block = x[fresh].astype(np.float64)
+        tail = _triangular_inverse(block[:, cols], p)
+        if k:
+            corner = (inverse[:k, :k] @ basis[:k, cols]) % p
+            inverse[:k, k : k + new] = (-(corner @ tail)) % p
+        inverse[k : k + new, k : k + new] = tail
+        basis[k : k + new] = block
+        piv = np.concatenate([piv, cols])
+        kept.extend(r0 + i for i in fresh)
+        k += new
+    return kept
+
+
+def kernelize_poly(
+    inst: UrfcInstance, cp: CapturePair, budget: int | None = None
+) -> UrfcInstance:
     """Keep the greedy earliest subset of tuples whose instantiated capture
     polynomials are linearly independent over GF(p).
 
-    Constraints are processed in canonical instance order; the row basis is
-    maintained in reduced row-echelon form (one elimination round therefore
-    clears every pivot), so a tuple is kept iff its polynomial contributes a
-    new pivot.  The surviving collection has the same solution set as the
-    input and size at most C(m*n + r, r).
+    The kept set is the row rank profile of the tuples x monomials
+    coefficient matrix, in canonical instance order: tuple r is kept iff its
+    row is not in the span of rows 0..r-1.  That set is a property of the
+    row space alone, so it depends neither on the order of the columns nor
+    on how monomials are numbered, and any exact elimination reproduces it.
+    The surviving collection has the same solution set as the input and
+    size at most C(m*n + r, r).
+
+    The engine is dense numpy.  Instantiation maps the capture's variable
+    slots to global variables for all tuples at once and interns the
+    monomials with one lexsort.  Elimination runs in batches of 32 rows (see
+    _row_rank_profile): float64 GEMMs against the basis are exact while
+    rank*(p-1)^2 < 2^53, and the int32 pivoting inside a batch while
+    32*(p-1)^2 + p < 2^31, that is for p <= 8191.  A field outside either
+    bound raises ValueError.  The matrix size, rows x monomials, is charged
+    against the tuple budget (explicit, else ``CCKER_BUDGET``, else
+    DEFAULT_TUPLE_BUDGET) before elimination starts.
     """
     if (cp.d, cp.l, cp.q) != (inst.d, inst.l, inst.q):
         raise ValueError(
             f"capture shape ({cp.d},{cp.l},{cp.q}) does not match instance "
             f"({inst.d},{inst.l},{inst.q})"
         )
-    p = cp.field.p
-
-    mono_ids: dict[tuple, int] = {}
-    keys: list = []
-
-    def intern(mono) -> int:
-        mid = mono_ids.get(mono)
-        if mid is None:
-            mid = len(keys)
-            mono_ids[mono] = mid
-            keys.append(_mono_key(mono))
-        return mid
-
-    terms = _compile_terms(cp)
-    pivot_rows: dict[int, dict[int, int]] = {}
-    kept = []
-    for tp in inst.tuples:
-        flat = [v for s in tp for v in s]
-        poly = _instantiate(terms, cp.m, p, flat, intern)
-        get = poly.get
-        pop = poly.pop
-        while True:
-            hits = [mid for mid in poly if mid in pivot_rows]
-            if not hits:
-                break
-            for mid in hits:
-                c = get(mid, 0)
-                if not c:
-                    continue
-                for m2, c2 in pivot_rows[mid].items():
-                    nc = (get(m2, 0) - c * c2) % p
-                    if nc:
-                        poly[m2] = nc
-                    else:
-                        pop(m2, None)
-        if not poly:
-            continue
-        lead = min(poly, key=lambda mid: keys[mid])
-        inv = pow(poly[lead], -1, p)
-        row = {mid: c * inv % p for mid, c in poly.items()}
-        for other in pivot_rows.values():
-            c = other.get(lead, 0)
-            if c:
-                for m2, c2 in row.items():
-                    nc = (other.get(m2, 0) - c * c2) % p
-                    if nc:
-                        other[m2] = nc
-                    else:
-                        other.pop(m2, None)
-        pivot_rows[lead] = row
-        kept.append(tp)
-    return UrfcInstance(inst.graph, inst.q, inst.d, inst.l, tuple(kept))
+    if not inst.tuples or cp.poly.is_zero:  # every row is zero
+        return UrfcInstance(inst.graph, inst.q, inst.d, inst.l, ())
+    slots, coeffs = _capture_slots(cp)
+    ids, count = _monomial_ids(inst, cp.m, slots)
+    b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
+    charge("polynomial kernel matrix", len(inst.tuples) * count, b)
+    kept = _row_rank_profile(ids, coeffs, count, cp.field.p)
+    tuples = tuple(inst.tuples[r] for r in kept)
+    return UrfcInstance(inst.graph, inst.q, inst.d, inst.l, tuples)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,18 @@ class TestBudgetFlag:
 
 
 class TestKernelizeAndVerify:
+    def test_kernel_matrix_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "i.urfc"
+        main(["gen", "--problem", "urfc", "--d", "2", "--l", "2", "--q", "3",
+              "--n", "6", "--seed", "5", "--density", "0.8", "-o", str(inst)])
+        capsys.readouterr()
+        monkeypatch.setenv("CCKER_BUDGET", "1000")
+        code = main(["kernelize", "--problem", "urfc", str(inst),
+                     "-o", str(tmp_path / "i.kern")])
+        assert code == 3
+        assert "polynomial kernel matrix" in capsys.readouterr().err
+        assert not (tmp_path / "i.kern").exists()
+
     def test_urfc_kernel_verifies(self, tmp_path, capsys):
         inst = tmp_path / "i.urfc"
         kern = tmp_path / "i.kern"

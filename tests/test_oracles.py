@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -136,6 +137,29 @@ class TestSolveUrfc:
     def test_empty_graph(self):
         inst = UrfcInstance(Graph(0, ()), 2, 1, 2, ())
         assert solve_urfc(inst).colorings == ((),)
+
+
+class TestSearchAccounting:
+    def test_full_enumeration_charges_colorings_only(self):
+        # 8 colorings fit a budget of 8, although the search visits 14 nodes
+        assert len(solve_hypergraph_qcol(Hypergraph(3, ()), 2, budget=8)) == 8
+        with pytest.raises(BudgetExceededError, match="coloring enumeration"):
+            solve_hypergraph_qcol(Hypergraph(3, ()), 2, budget=7)
+
+    def test_decision_mode_charges_nodes(self):
+        assert solve_hypergraph_qcol(Hypergraph(3, ()), 2, limit=1, budget=3).is_yes
+        with pytest.raises(BudgetExceededError, match="search nodes"):
+            solve_hypergraph_qcol(Hypergraph(3, ()), 2, limit=1, budget=2)
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        inst = RccInstance(Graph(4, ((1, 2),)), make_nur(1, 2, 3), ((1, 3), (2, 4)))
+        gc.collect()
+        gc.disable()
+        try:
+            assert solve_rcc(inst).is_yes
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSolveHypergraph:

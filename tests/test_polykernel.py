@@ -25,6 +25,7 @@ from ccker.polykernel import (
     smallest_prime_geq,
     vandermonde_set,
 )
+from ccker.polykernel import _check_exact
 from ccker.relations import make_nur
 
 
@@ -299,6 +300,15 @@ class TestKernelizePoly:
         out = kernelize_poly(inst, build_capture(2, 2, 3))
         assert out.tuples == ()
 
+    def test_zero_capture_keeps_nothing(self):
+        cp = build_capture(2, 2, 3)
+        zero = CapturePair(
+            cp.field, cp.m, cp.d, cp.l, cp.q, cp.colors, SparsePoly(cp.field.p),
+            cp.item, cp.degree_bound,
+        )
+        inst = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1)
+        assert kernelize_poly(inst, zero).tuples == ()
+
     def test_shape_mismatch(self):
         inst = UrfcInstance(Graph(4, ()), 3, 2, 2, ())
         with pytest.raises(ValueError):
@@ -327,6 +337,30 @@ class TestKernelizePoly:
         cp = build_capture(2, 2, 3)
         inst = generate.gen_urfc(6, 2, 2, 3, 0.8, 0.2, 9)
         assert kernelize_poly(inst, cp) == kernelize_poly(inst, cp)
+
+    def test_exactness_guards(self):
+        # 8191 is the largest prime whose batch updates fit int32
+        with pytest.raises(ValueError, match="float64"):
+            _check_exact(2**28, 184, 8191)
+        with pytest.raises(ValueError, match="float64"):
+            _check_exact(1, 2**53, 3)
+        with pytest.raises(ValueError, match="int32"):
+            _check_exact(10, 184, 8209)
+        _check_exact(10**6, 10**6, 8191)
+
+    def test_large_field_refused(self):
+        cp = build_capture(2, 2, 3, PrimeField(8209))
+        inst = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1)
+        with pytest.raises(ValueError, match="int32"):
+            kernelize_poly(inst, cp)
+
+    def test_matrix_charged_against_budget(self):
+        cp = build_capture(2, 2, 3)
+        inst = generate.gen_urfc(6, 2, 2, 3, 0.5, 0.3, 1)
+        full = kernelize_poly(inst, cp)
+        with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
+            kernelize_poly(inst, cp, budget=len(inst.tuples))
+        assert kernelize_poly(inst, cp, budget=10**6) == full
 
     @given(st.data())
     @settings(
