@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -237,6 +238,33 @@ REFERENCE_SHAPES = [
 ]
 
 CAPTURE_SHAPES = [(2, 1, 3), (3, 1, 4), (2, 2, 2), (2, 2, 3), (3, 2, 3), (2, 3, 3), (3, 2, 4)]
+
+# (d, l, q) -> (term count, sha256 prefix of the sorted (variables repeated
+# by exponent, coefficient) pairs), recorded before the capture polynomial's
+# monomial encoding changed; they pin every capture term for term.
+CAPTURE_DIGESTS = {
+    (2, 1, 3): (2, "5684d1e1d1c4d9c3"),
+    (3, 1, 4): (6, "00b40e4bac607112"),
+    (2, 2, 2): (4, "f26356e2e55d6b77"),
+    (2, 2, 3): (20, "849be80c8b0fba6e"),
+    (3, 2, 3): (36, "dea0ef9001c1286a"),
+    (2, 3, 3): (184, "9ffe33ae170c4c6b"),
+    (3, 2, 4): (396, "d8e0e40c7d41adbd"),
+    (1, 3, 2): (7, "94636f9d6a86c2d8"),
+    (4, 1, 5): (24, "e944c4fb7878fbde"),
+    (2, 3, 2): (8, "5459ee36733fdd05"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CAPTURE_DIGESTS))
+def test_capture_terms_pinned(shape):
+    assert set(CAPTURE_SHAPES) <= set(CAPTURE_DIGESTS)
+    terms = build_capture(*shape).poly.terms
+    pairs = sorted(
+        (tuple(v for v, e in mono for _ in range(e)), c) for mono, c in terms.items()
+    )
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+    assert (len(pairs), digest) == CAPTURE_DIGESTS[shape]
 
 
 class TestCapture:
