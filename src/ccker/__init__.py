@@ -47,7 +47,6 @@ from .polykernel import (
     UrfcKernelResult,
     build_capture,
     check_captures,
-    det_poly,
     kernelize_product_pruning,
     kernelize_gurfc,
     kernelize_poly,

@@ -112,7 +112,7 @@ def _gen_over_relation(args, gen):
 
 
 def _kernelize_urfc(inst, args):
-    result = polykernel.kernelize_urfc(inst)
+    result = polykernel.kernelize_urfc(inst, args.budget)
     kernel = result.instance
     tuple_bits = inst.d * inst.l * max(1, math.ceil(math.log2(kernel.graph.n + 1)))
     meta = [f"constraints={kernel.constraint_count}", f"tuple_bits={tuple_bits}"]
@@ -120,7 +120,7 @@ def _kernelize_urfc(inst, args):
 
 
 def _kernelize_gurfc(inst, args):
-    result = polykernel.kernelize_gurfc(inst)
+    result = polykernel.kernelize_gurfc(inst, args.budget)
     meta = ["; ".join(report.lines()) for report in result.reports]
     meta.append(f"constraints={result.instance.constraint_count}")
     return result.instance, meta
@@ -134,7 +134,9 @@ def _kernelize_rcc(inst, args):
 
 
 def _kernelize_cliquekv(inst, args):
-    kernel, report = reductions.kernelize_cliquekv(inst, *_flags(args, "q"), args.t)
+    kernel, report = reductions.kernelize_cliquekv(
+        inst, *_flags(args, "q"), args.t, args.budget
+    )
     return kernel, report.lines()
 
 

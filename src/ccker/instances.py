@@ -508,6 +508,17 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
+def _relation_tuple(reader: _Reader, q: int, r: int) -> tuple[int, ...]:
+    """The next line as a tuple of r entries in 1..q."""
+    lineno, line = reader.next("relation tuple")
+    vals = _ints(line, lineno)
+    if len(vals) != r:
+        raise ParseError(f"tuple needs {r} entries, got {len(vals)}", lineno)
+    if any(not 1 <= x <= q for x in vals):
+        raise ParseError(f"tuple entry out of range 1..{q}", lineno)
+    return tuple(vals)
+
+
 def parse_relation(text: str) -> tuple[Relation, UrfcShape | None]:
     """Parse a relation file: explicit listing or single-line nur shorthand."""
     reader = _Reader(text)
@@ -522,13 +533,7 @@ def parse_relation(text: str) -> tuple[Relation, UrfcShape | None]:
     q, r = head["q"], head["r"]
     tuples = []
     while not reader.at_end():
-        lineno, line = reader.next("relation tuple")
-        vals = _ints(line, lineno)
-        if len(vals) != r:
-            raise ParseError(f"tuple needs {r} entries, got {len(vals)}", lineno)
-        if any(not 1 <= x <= q for x in vals):
-            raise ParseError(f"tuple entry out of range 1..{q}", lineno)
-        tuples.append(tuple(vals))
+        tuples.append(_relation_tuple(reader, q, r))
     return Relation(q, r, tuple(tuples)), None
 
 
@@ -552,16 +557,8 @@ def _read_relation_block(
         return relation_loader(body[0][len("file=") :])
     head = _kv_line(line, lineno, "rel", ("q", "r", "count"))
     q, r, count = head["q"], head["r"], head["count"]
-    tuples = []
-    for _ in range(count):
-        tl, tline = reader.next("relation tuple")
-        vals = _ints(tline, tl)
-        if len(vals) != r:
-            raise ParseError(f"tuple needs {r} entries, got {len(vals)}", tl)
-        if any(not 1 <= x <= q for x in vals):
-            raise ParseError(f"tuple entry out of range 1..{q}", tl)
-        tuples.append(tuple(vals))
-    return Relation(q, r, tuple(tuples)), None
+    tuples = tuple(_relation_tuple(reader, q, r) for _ in range(count))
+    return Relation(q, r, tuples), None
 
 
 def _read_constraints(reader: _Reader, r: int, n: int):

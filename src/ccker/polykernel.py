@@ -1,9 +1,9 @@
 """Kernelization engines.
 
-Sparse multivariate polynomials over GF(p), Vandermonde-based capture pairs
-for the uniformly rainbow property, the polynomial-basis kernel, the
-rainbow-free dispatchers, and the product-pruning kernel for constrained
-coloring.
+Capture pairs for the uniformly rainbow property (Vandermonde color vectors
+and a capture polynomial over GF(p), held as a term dict), the
+polynomial-basis kernel, the rainbow-free dispatchers, and the
+product-pruning kernel for constrained coloring.
 
 Variable layout for capture polynomials: the m x (d*l) matrix of variables is
 flattened column-major, variable (row a, column b) (0-based) has index
@@ -24,6 +24,7 @@ numbering of the monomials changes which tuples are kept.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,7 +42,6 @@ __all__ = [
     "CaptureUnavailableError",
     "smallest_prime_geq",
     "vandermonde_set",
-    "det_poly",
     "build_capture",
     "check_captures",
     "kernelize_poly",
@@ -82,124 +82,37 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def inv(self, a: int) -> int:
-        return pow(a % self.p, -1, self.p)
-
-
-# A monomial is a tuple of (variable, exponent) pairs, sorted by variable,
-# exponents >= 1; the empty tuple is the constant monomial.
-Monomial = tuple
-
-
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    exps: dict[int, int] = {}
-    for v, e in itertools.chain(m1, m2):
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def _mono_key(mono: Monomial):
-    # Graded lexicographic, packaged so that min(key) picks the largest
-    # monomial: higher total degree first, then larger exponent on the
-    # smallest variable index.
-    return (-_mono_degree(mono), tuple((v, -e) for v, e in mono))
-
 
 class SparsePoly:
-    """Multivariate polynomial over GF(p): monomial -> nonzero coefficient."""
+    """Polynomial over GF(p): monomial -> nonzero coefficient.
+
+    A monomial is the sorted tuple of its variable indices, each repeated by
+    its exponent, so its length is its degree; () is the constant monomial.
+    """
 
     __slots__ = ("p", "terms")
 
     def __init__(self, p: int, terms=None):
         self.p = p
-        clean: dict[Monomial, int] = {}
-        for mono, coeff in (terms or {}).items():
-            coeff %= p
-            if coeff:
-                clean[tuple(mono)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def const(cls, p: int, value: int) -> "SparsePoly":
-        return cls(p, {(): value})
-
-    @classmethod
-    def variable(cls, p: int, index: int) -> "SparsePoly":
-        return cls(p, {((index, 1),): 1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        self.terms = {m: c % p for m, c in (terms or {}).items() if c % p}
 
     @property
     def degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
-    def leading_monomial(self) -> Monomial:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return min(self.terms, key=_mono_key)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparsePoly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.p, tuple(sorted(self.terms.items()))))
+        return max(map(len, self.terms), default=0)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = (out.get(mono, 0) + coeff) % self.p
+            out[mono] = out.get(mono, 0) + coeff
         return SparsePoly(self.p, out)
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int) -> "SparsePoly":
-        return SparsePoly(
-            self.p, {m: c * factor for m, c in self.terms.items()}
-        )
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        out: dict[Monomial, int] = {}
+        out: dict[tuple, int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
-                out[mono] = (out.get(mono, 0) + c1 * c2) % self.p
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
         return SparsePoly(self.p, out)
-
-    def rename(self, mapping) -> "SparsePoly":
-        """Relabel variables; colliding targets merge exponents."""
-        out: dict[Monomial, int] = {}
-        for mono, coeff in self.terms.items():
-            exps: dict[int, int] = {}
-            for v, e in mono:
-                t = mapping[v]
-                exps[t] = exps.get(t, 0) + e
-            key = tuple(sorted(exps.items()))
-            out[key] = (out.get(key, 0) + coeff) % self.p
-        return SparsePoly(self.p, out)
-
-    def evaluate(self, values) -> int:
-        """Evaluate at a point; ``values`` is indexable by variable index."""
-        total = 0
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for v, e in mono:
-                term = term * pow(values[v], e, self.p) % self.p
-            total = (total + term) % self.p
-        return total
-
-    def __repr__(self):
-        return f"SparsePoly(p={self.p}, terms={len(self.terms)}, degree={self.degree})"
 
 
 def vandermonde_set(m: int, q: int, field: PrimeField) -> tuple[tuple[int, ...], ...]:
@@ -217,45 +130,22 @@ def vandermonde_set(m: int, q: int, field: PrimeField) -> tuple[tuple[int, ...],
     )
 
 
-def _sym_det(rows: list[list[SparsePoly]], p: int) -> SparsePoly:
-    t = len(rows)
-    acc = SparsePoly(p, {})
-    for perm in itertools.permutations(range(t)):
-        inversions = sum(
-            1 for i in range(t) for j in range(i + 1, t) if perm[i] > perm[j]
-        )
-        prod = SparsePoly.const(p, 1)
-        for i in range(t):
-            prod = prod * rows[i][perm[i]]
-        acc = acc + (prod if inversions % 2 == 0 else prod.scale(-1))
-    return acc
-
-
 def _ones_det(columns: list[list[SparsePoly]], p: int) -> SparsePoly:
-    """Determinant of the t x t matrix whose first row is ones and whose
-    remaining rows are taken from ``columns`` (each column lists its entries
-    for rows 1..t-1)."""
-    t = len(columns)
-    rows = [[SparsePoly.const(p, 1)] * t]
-    for a in range(t - 1):
-        rows.append([columns[b][a] for b in range(t)])
-    return _sym_det(rows, p)
+    """Leibniz expansion of the t x t determinant whose first row is ones and
+    whose row a >= 1 holds columns[b][a - 1] in column b.
 
-
-def det_poly(m: int, t: int, field: PrimeField) -> SparsePoly:
-    """The polynomial mapping an m x t matrix to the determinant of its first
-    t rows with the first row replaced by ones; degree exactly t - 1.
-
-    On a matrix whose columns come from a Vandermonde set, the value is
-    nonzero iff the t columns are pairwise distinct.
+    With variable entries, evaluated on t columns of a Vandermonde set, it is
+    nonzero iff the columns are pairwise distinct; its degree is t - 1.
     """
-    if not 1 <= t <= m:
-        raise ValueError(f"need 1 <= t <= m, got t={t}, m={m}")
-    columns = [
-        [SparsePoly.variable(field.p, b * m + a) for a in range(1, t)]
-        for b in range(t)
-    ]
-    return _ones_det(columns, field.p)
+    t = len(columns)
+    acc = SparsePoly(p)
+    for perm in itertools.permutations(range(t)):
+        inversions = sum(i > j for i, j in itertools.combinations(perm, 2))
+        prod = SparsePoly(p, {(): -1 if inversions % 2 else 1})
+        for a in range(1, t):
+            prod = prod * columns[perm[a]][a - 1]
+        acc = acc + prod
+    return acc
 
 
 class CaptureUnavailableError(ValueError):
@@ -292,6 +182,7 @@ class CapturePair:
             )
 
 
+@functools.cache
 def build_capture(
     d: int, l: int, q: int, field: PrimeField | None = None
 ) -> CapturePair:
@@ -304,42 +195,42 @@ def build_capture(
     by the column a - y, where a is the sum of all color vectors and y the
     sum of the first block's columns, degree d*l - 1.  Any other shape raises
     CaptureUnavailableError (the trivial kernel applies there).
+
+    Memoized per (d, l, q, field): equal arguments return the same pair, so
+    no caller may mutate it.
     """
     UrfcShape(d, l, q)
     if field is None:
         field = PrimeField(smallest_prime_geq(q))
     p = field.p
 
-    def var_column(col: int, m: int) -> list[SparsePoly]:
-        return [SparsePoly.variable(p, col * m + a) for a in range(1, m)]
+    def column(col: int, t: int) -> list[SparsePoly]:
+        # rows 1..t-1 of variable column ``col``
+        return [SparsePoly(p, {(col * m + a,): 1}) for a in range(1, t)]
 
     if l == 1 and q >= d:
         item, m, bound = 1, d, d - 1
         colors = vandermonde_set(m, q, field)
-        poly = _ones_det([var_column(b, m)[: d - 1] for b in range(d)], p)
+        poly = _ones_det([column(b, d) for b in range(d)], p)
     elif q == d:
         item, m, bound = 2, d, (d - 1) * l
         colors = vandermonde_set(m, q, field)
-        poly = SparsePoly.const(p, 1)
+        poly = SparsePoly(p, {(): 1})
         for i in range(l):
-            cols = [var_column(i * d + b, m)[: d - 1] for b in range(d)]
-            poly = poly * _ones_det(cols, p)
+            poly = poly * _ones_det([column(i * d + b, d) for b in range(d)], p)
     elif q == d + 1:
         item, m, bound = 3, q, d * l - 1
         colors = vandermonde_set(m, q, field)
         a_vec = [sum(v[a] for v in colors) % p for a in range(m)]
         # a - y as polynomial entries for rows 1..m-1; y sums block 1's columns
-        last_col = []
-        for a in range(1, m):
-            entry = SparsePoly.const(p, a_vec[a])
-            for b in range(d):
-                entry = entry - SparsePoly.variable(p, b * m + a)
-            last_col.append(entry)
-        poly = _ones_det([var_column(b, m)[: d - 1] for b in range(d)], p)
+        last_col = [
+            SparsePoly(p, {(): a_vec[a]} | {(b * m + a,): -1 for b in range(d)})
+            for a in range(1, m)
+        ]
+        poly = _ones_det([column(b, d) for b in range(d)], p)
         for i in range(1, l):
-            cols = [var_column(i * d + b, m) for b in range(d)]
-            cols.append(last_col)
-            poly = poly * _ones_det(cols, p)
+            cols = [column(i * d + b, m) for b in range(d)]
+            poly = poly * _ones_det(cols + [last_col], p)
     else:
         raise CaptureUnavailableError(
             f"no capture construction for d={d}, l={l}, q={q}"
@@ -383,10 +274,10 @@ def check_captures(
         acc = np.zeros(rows, dtype=np.int64)
         for mono, coeff in terms:
             term = np.full(rows, coeff, dtype=np.int64)
-            for var, exp in mono:
-                col, row = divmod(var, cp.m)
-                term *= colors[assign[:, col], row] ** exp
-            acc += term % p
+            for slot in mono:
+                col, row = divmod(slot, cp.m)
+                term = term * colors[assign[:, col], row] % p
+            acc += term
         nonzero = (acc % p) != 0
 
         blocks = assign.reshape(rows, l, d)
@@ -414,13 +305,13 @@ def _capture_slots(cp: CapturePair):
     their coefficients.
 
     Slot ``col*m + row`` is the variable in row ``row`` of column ``col``;
-    each term lists its slots repeated by exponent, padded with -1.  A
-    capture of degree 0 gets width 1, all padding."""
-    flats = [[v for v, e in mono for _ in range(e)] for mono in cp.poly.terms]
-    slots = np.full((len(flats), max(map(len, flats), default=0) or 1), -1)
-    for t, flat in enumerate(flats):
-        slots[t, : len(flat)] = flat
-    return slots, np.array(list(cp.poly.terms.values()), dtype=np.float64)
+    each term is its monomial, padded with -1.  A capture of degree 0 gets
+    width 1, all padding."""
+    terms = cp.poly.terms
+    slots = np.full((len(terms), cp.poly.degree or 1), -1)
+    for t, mono in enumerate(terms):
+        slots[t, : len(mono)] = mono
+    return slots, np.array(list(terms.values()), dtype=np.float64)
 
 
 def _monomial_ids(inst: UrfcInstance, m: int, slots: np.ndarray):
@@ -578,7 +469,7 @@ def kernelize_poly(
             f"capture shape ({cp.d},{cp.l},{cp.q}) does not match instance "
             f"({inst.d},{inst.l},{inst.q})"
         )
-    if not inst.tuples or cp.poly.is_zero:  # every row is zero
+    if not inst.tuples or not cp.poly.terms:  # every row is zero
         return UrfcInstance(inst.graph, inst.q, inst.d, inst.l, ())
     slots, coeffs = _capture_slots(cp)
     ids, count = _monomial_ids(inst, cp.m, slots)
@@ -711,7 +602,7 @@ def _const_instance(answer: bool, d: int, l: int, q: int) -> UrfcInstance:
     return UrfcInstance(Graph(3, ((1, 2), (1, 3), (2, 3))), q, d, l, ())
 
 
-def kernelize_urfc(inst: UrfcInstance) -> UrfcKernelResult:
+def kernelize_urfc(inst: UrfcInstance, budget: int | None = None) -> UrfcKernelResult:
     """Kernelize one rainbow-free instance, dispatching on its exponent.
 
     Exponent d*l (or the l = 1, d <= 2 shapes): deduplication only, which the
@@ -719,7 +610,8 @@ def kernelize_urfc(inst: UrfcInstance) -> UrfcKernelResult:
     (d-1)*l: polynomial-basis kernel with the matching capture construction.
     Exponent 0: the instance is decided outright and a constant-size
     equivalent instance is emitted.  In all other cases the output is
-    (G, F') with F' a subset of F and an identical solution set.
+    (G, F') with F' a subset of F and an identical solution set.  ``budget``
+    goes to kernelize_poly.
     """
     d, l, q = inst.d, inst.l, inst.q
     e = eta(d, l, q)
@@ -733,7 +625,7 @@ def kernelize_urfc(inst: UrfcInstance) -> UrfcKernelResult:
     if e == d * l or (l == 1 and d <= 2):
         return UrfcKernelResult(inst, KernelReport("dedup", d, l, q, e))
     cp = build_capture(d, l, q)
-    out = kernelize_poly(inst, cp)
+    out = kernelize_poly(inst, cp, budget)
     bound = math.comb(cp.m * n + cp.degree_bound, cp.degree_bound)
     assert len(out.tuples) <= bound
     return UrfcKernelResult(
@@ -752,8 +644,11 @@ def kernelize_urfc(inst: UrfcInstance) -> UrfcKernelResult:
     )
 
 
-def kernelize_gurfc(inst: GurfcInstance) -> GurfcKernelResult:
-    """Kernelize each block independently and take the union.
+def kernelize_gurfc(
+    inst: GurfcInstance, budget: int | None = None
+) -> GurfcKernelResult:
+    """Kernelize each block independently and take the union; ``budget`` goes
+    to each block's kernelize_poly.
 
     Every block must have kernel exponent at least 2; a degenerate block is
     an error rather than a silently wrong kernel.
@@ -768,7 +663,7 @@ def kernelize_gurfc(inst: GurfcInstance) -> GurfcKernelResult:
     reports = []
     for b in inst.blocks:
         sub = UrfcInstance(inst.graph, inst.q, b.d, b.l, b.tuples)
-        result = kernelize_urfc(sub)
+        result = kernelize_urfc(sub, budget)
         blocks.append(GurfcBlock(b.d, b.l, result.instance.tuples))
         reports.append(result.report)
     return GurfcKernelResult(

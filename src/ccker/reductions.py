@@ -432,7 +432,7 @@ def gurfc_to_cliquekv(inst: GurfcInstance) -> tuple[CliqueKvInstance, ReductionR
 
 
 def kernelize_cliquekv(
-    inst: CliqueKvInstance, q: int, t: int | None = None
+    inst: CliqueKvInstance, q: int, t: int | None = None, budget: int | None = None
 ) -> tuple[CliqueKvInstance, ReductionReport]:
     """Shrink a clique-modulator coloring instance, preserving q-colorability.
 
@@ -440,7 +440,8 @@ def kernelize_cliquekv(
     block, and rebuild the graph from the induced modulator plus one fresh
     clique per surviving tuple.  With t absent, clique sizes are unbounded: a
     clique larger than q makes the graph trivially uncolorable and a fixed
-    constant no-instance is returned; otherwise t = q applies.
+    constant no-instance is returned; otherwise t = q applies.  ``budget``
+    goes to the polynomial kernel of each block.
     """
     if q < 3:
         raise ValueError(f"q must be at least 3, got {q}")
@@ -464,7 +465,7 @@ def kernelize_cliquekv(
             return no, report
         t = q
     extracted, _ = extract_clique_constraints(inst, q, t)
-    kernel = kernelize_gurfc(extracted)
+    kernel = kernelize_gurfc(extracted, budget)
     out, _ = gurfc_to_cliquekv(kernel.instance)
     surviving = sum(len(b.tuples) for b in kernel.instance.blocks)
     report = ReductionReport(

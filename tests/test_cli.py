@@ -137,6 +137,18 @@ class TestKernelizeAndVerify:
         assert "polynomial kernel matrix" in capsys.readouterr().err
         assert not (tmp_path / "i.kern").exists()
 
+    def test_budget_flag_reaches_kernel_matrix(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "i.urfc"
+        main(["gen", "--problem", "urfc", "--d", "2", "--l", "2", "--q", "3",
+              "--n", "6", "--seed", "5", "--density", "0.8", "-o", str(inst)])
+        capsys.readouterr()
+        monkeypatch.delenv("CCKER_BUDGET", raising=False)
+        code = main(["kernelize", "--problem", "urfc", "--budget", "1000", str(inst),
+                     "-o", str(tmp_path / "i.kern")])
+        assert code == 3
+        assert "polynomial kernel matrix" in capsys.readouterr().err
+        assert not (tmp_path / "i.kern").exists()
+
     def test_urfc_kernel_verifies(self, tmp_path, capsys):
         inst = tmp_path / "i.urfc"
         kern = tmp_path / "i.kern"

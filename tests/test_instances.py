@@ -12,6 +12,8 @@ from ccker.instances import (
     ParseError,
     canonicalize_urfc_tuple,
     parse,
+    parse_rcc,
+    parse_relation,
     serialize,
     validate_clique_kv,
 )
@@ -129,6 +131,27 @@ class TestParseErrors:
     def test_positions_reported(self):
         with pytest.raises(ParseError, match="line 2"):
             parse("graph", "graph n=2 m=1\nbogus\n")
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("1 2 3", "tuple needs 2 entries, got 3"),
+            ("1 4", "tuple entry out of range 1..3"),
+            ("1 x", "expected integers, got '1 x'"),
+        ],
+    )
+    def test_relation_tuple_errors(self, line, message):
+        # the same checks and line numbers in a relation file and a rel block
+        with pytest.raises(ParseError) as err:
+            parse_relation(f"relation q=3 r=2\n1 2\n{line}\n")
+        assert (str(err.value), err.value.line) == (f"line 3: {message}", 3)
+        with pytest.raises(ParseError) as err:
+            parse_rcc(f"graph n=2 m=0\nrel q=3 r=2 count=2\n1 2\n{line}\n1 2\n")
+        assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
+
+    def test_rel_block_short_of_count(self):
+        with pytest.raises(ParseError, match="end of input, expected relation tuple"):
+            parse_rcc("graph n=2 m=0\nrel q=3 r=2 count=2\n1 2\n")
 
 
 class TestRoundTrips:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ccker import generate
+from ccker.budget import BudgetExceededError
 from ccker.instances import (
     CliqueKvInstance,
     CnfFormula,
@@ -362,3 +363,10 @@ class TestKernelizeCliquekv:
         inst = generate.gen_cliquekv(3, 2, 1, 0)
         with pytest.raises(ValueError):
             kernelize_cliquekv(inst, 2, 2)
+
+    def test_budget_reaches_kernel_matrix(self):
+        inst = generate.gen_cliquekv(4, 2, 2, 1)
+        with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
+            kernelize_cliquekv(inst, 3, 2, budget=1)
+        full = kernelize_cliquekv(inst, 3, 2)
+        assert kernelize_cliquekv(inst, 3, 2, budget=10**6) == full
