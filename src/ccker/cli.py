@@ -30,8 +30,6 @@ from typing import Callable, NamedTuple
 from . import generate, oracles, polykernel, reductions
 from .budget import BudgetExceededError
 from .instances import (
-    NotCliqueError,
-    ParseError,
     parse_cliquekv,
     parse_cnf,
     parse_gurfc,
@@ -421,7 +419,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, NotCliqueError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,9 @@ sorted and deduplicated.  Parsers produce the canonical form, so
 serialize(parse(text)) == canonical(text) and parse(serialize(x)) == x.
 
 Text formats are line oriented; ``#`` starts a comment (DIMACS cnf uses its
-own ``c`` comments).
+own ``c`` comments).  Only the constructors check record invariants; parsers
+check syntax and pass them generators over the records, so a constructor's
+ValueError becomes a ParseError at the line of the record in flight.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+from .budget import DEFAULT_TUPLE_BUDGET, charge, resolve_budget
 from .relations import Relation, UrfcShape, make_nur
 
 __all__ = [
@@ -62,21 +65,19 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        adj = [set() for _ in range(self.n + 1)]
         canon = []
         for u, v in self.edges:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{self.n}")
             if u == v:
                 raise ValueError(f"loop edge at vertex {u}")
-            canon.append((u, v) if u < v else (v, u))
-        if len(set(canon)) != len(canon):
-            dup = next(e for e in canon if canon.count(e) > 1)
-            raise ValueError(f"duplicate edge {dup}")
-        canon.sort()
-        adj = [set() for _ in range(self.n + 1)]
-        for u, v in canon:
+            if v in adj[u]:
+                raise ValueError(f"duplicate edge ({u},{v})")
             adj[u].add(v)
             adj[v].add(u)
+            canon.append((u, v) if u < v else (v, u))
+        canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
         object.__setattr__(self, "_adj", tuple(frozenset(s) for s in adj))
 
@@ -127,14 +128,18 @@ class ListAssignment:
         return self.lists[v - 1]
 
 
-def _canonical_constraints(graph: Graph, relation: Relation, constraints):
+def _canonical_constraints(graph: Graph, relation: Relation, constraints, nur_shape):
+    s = nur_shape
+    if s is not None and (s.arity != relation.r or s.q != relation.q):
+        raise ValueError("nur shape does not match relation dimensions")
+    n, r = graph.n, relation.r
     canon = set()
     for t in constraints:
         t = tuple(t)
-        if len(t) != relation.r:
-            raise ValueError(f"constraint {t} does not have arity {relation.r}")
-        if any(not 1 <= x <= graph.n for x in t):
-            raise ValueError(f"constraint {t} has vertices outside 1..{graph.n}")
+        if len(t) != r:
+            raise ValueError(f"constraint needs {r} vertex ids, got {len(t)}")
+        if min(t) < 1 or max(t) > n:
+            raise ValueError(f"constraint vertex out of range 1..{n}")
         canon.add(t)
     return tuple(sorted(canon))
 
@@ -153,12 +158,10 @@ class RccInstance:
         object.__setattr__(
             self,
             "constraints",
-            _canonical_constraints(self.graph, self.relation, self.constraints),
+            _canonical_constraints(
+                self.graph, self.relation, self.constraints, self.nur_shape
+            ),
         )
-        if self.nur_shape is not None:
-            s = self.nur_shape
-            if s.arity != self.relation.r or s.q != self.relation.q:
-                raise ValueError("nur shape does not match relation dimensions")
 
     @property
     def constraint_count(self) -> int:
@@ -179,16 +182,14 @@ class RclcInstance:
         object.__setattr__(
             self,
             "constraints",
-            _canonical_constraints(self.graph, self.relation, self.constraints),
+            _canonical_constraints(
+                self.graph, self.relation, self.constraints, self.nur_shape
+            ),
         )
         if self.lists.q != self.relation.q:
             raise ValueError("list q does not match relation domain size")
         if self.lists.n != self.graph.n:
             raise ValueError("list assignment does not cover every vertex")
-        if self.nur_shape is not None:
-            s = self.nur_shape
-            if s.arity != self.relation.r or s.q != self.relation.q:
-                raise ValueError("nur shape does not match relation dimensions")
 
     @property
     def constraint_count(self) -> int:
@@ -211,14 +212,15 @@ def canonicalize_urfc_tuple(sets, d: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _canonical_urfc_tuples(graph: Graph, d: int, tuples, l: int):
+    n = graph.n
     canon = set()
     for tp in tuples:
         tp = canonicalize_urfc_tuple(tp, d)
         if len(tp) != l:
             raise ValueError(f"tuple {tp} does not have {l} sets")
-        for s in tp:
-            if any(not 1 <= v <= graph.n for v in s):
-                raise ValueError(f"set {s} has vertices outside 1..{graph.n}")
+        # sets are sorted and ordered, so tp[0][0] is the smallest vertex
+        if tp[0][0] < 1 or max(s[-1] for s in tp) > n:
+            raise ValueError(f"tuple vertex out of range 1..{n}")
         canon.add(tp)
     return tuple(sorted(canon))
 
@@ -298,12 +300,17 @@ class GurfcInstance:
 def validate_clique_kv(graph: Graph, modulator) -> tuple[tuple[int, ...], ...]:
     """Partition G minus the modulator into cliques, or raise NotCliqueError.
 
-    Returns the connected components of the remainder, each verified to be
-    complete, sorted by smallest vertex.
+    The modulator's vertices must be distinct and in 1..n.  Returns the
+    connected components of the remainder, each verified to be complete,
+    sorted by smallest vertex.
     """
-    xs = set(modulator)
-    if any(not 1 <= v <= graph.n for v in xs):
-        raise ValueError("modulator vertex out of range")
+    xs = set()
+    for v in modulator:
+        if not 1 <= v <= graph.n:
+            raise ValueError(f"modulator vertex {v} out of range")
+        if v in xs:
+            raise ValueError("modulator has repeated vertices")
+        xs.add(v)
     rest = [v for v in range(1, graph.n + 1) if v not in xs]
     seen = set()
     comps = []
@@ -340,11 +347,12 @@ class CliqueKvInstance:
     cliques: tuple[tuple[int, ...], ...] = field(init=False, default=())
 
     def __post_init__(self):
-        mod = tuple(sorted(set(self.modulator)))
-        if len(mod) != len(self.modulator):
-            raise ValueError("modulator has repeated vertices")
+        cliques = validate_clique_kv(self.graph, self.modulator)
+        # the cliques partition the vertices outside the modulator
+        covered = {v for c in cliques for v in c}
+        mod = tuple(v for v in range(1, self.graph.n + 1) if v not in covered)
         object.__setattr__(self, "modulator", mod)
-        object.__setattr__(self, "cliques", validate_clique_kv(self.graph, mod))
+        object.__setattr__(self, "cliques", cliques)
 
     @property
     def k(self) -> int:
@@ -365,17 +373,16 @@ class Hypergraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        canon = []
+        canon = set()
         for e in self.edges:
             e = tuple(sorted(e))
             if len(set(e)) != len(e) or not e:
-                raise ValueError(f"edge {e} is empty or has repeated vertices")
-            if any(not 1 <= v <= self.n for v in e):
-                raise ValueError(f"edge {e} out of range 1..{self.n}")
-            canon.append(e)
-        if len(set(canon)) != len(canon):
-            dup = next(e for e in canon if canon.count(e) > 1)
-            raise ValueError(f"duplicate edge {dup}")
+                raise ValueError(f"hyperedge {e} is empty or repeats a vertex")
+            if e[0] < 1 or e[-1] > self.n:
+                raise ValueError(f"hyperedge vertex out of range 1..{self.n}")
+            if e in canon:
+                raise ValueError(f"duplicate hyperedge {e}")
+            canon.add(e)
         object.__setattr__(self, "edges", tuple(sorted(canon, key=lambda e: (len(e), e))))
 
     @property
@@ -427,15 +434,22 @@ class CnfFormula:
 
 
 class _Reader:
-    """Iterator over non-blank, non-comment lines with position tracking."""
+    """Iterator over non-blank lines, ``#`` comments removed, that remembers
+    the number of the line it handed out last."""
 
-    def __init__(self, text: str, comment: str = "#"):
-        self.rows = []
-        for i, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split(comment, 1)[0].strip() if comment else raw.strip()
-            if line:
-                self.rows.append((i, line))
+    def __init__(self, text: str):
+        self.rows = self._rows(text)
         self.pos = 0
+        self.line = None
+
+    @staticmethod
+    def _rows(text: str) -> list[tuple[int, str]]:
+        rows = []
+        for i, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                rows.append((i, line))
+        return rows
 
     def peek(self):
         return self.rows[self.pos] if self.pos < len(self.rows) else (None, None)
@@ -445,10 +459,51 @@ class _Reader:
             raise ParseError(f"unexpected end of input, expected {what}")
         row = self.rows[self.pos]
         self.pos += 1
+        self.line = row[0]
         return row
+
+    def ints(self, what: str) -> tuple[int, ...]:
+        """The next line as a tuple of integers."""
+        lineno, line = self.next(what)
+        return _ints(line, lineno)
+
+    def rest(self, what: str):
+        """Every remaining line as a tuple of integers."""
+        while not self.at_end():
+            yield self.ints(what)
 
     def at_end(self) -> bool:
         return self.pos >= len(self.rows)
+
+    def expect_end(self) -> None:
+        if not self.at_end():
+            lineno, line = self.peek()
+            raise ParseError(f"trailing content {line!r}", lineno)
+
+    def build(self, make, *args):
+        """``make(*args)``, its ValueError reported at the last line read: the
+        record that failed a check, or the header for a check on its values."""
+        try:
+            return make(*args)
+        except (ParseError, NotCliqueError):
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc), self.line) from None
+
+
+class _DimacsReader(_Reader):
+    """DIMACS lines: ``c`` lines are comments and a ``%`` line ends the input."""
+
+    @staticmethod
+    def _rows(text: str) -> list[tuple[int, str]]:
+        rows = []
+        for i, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line.startswith("%"):
+                break
+            if line and not line.startswith("c"):
+                rows.append((i, line))
+        return rows
 
 
 def _kv_line(line: str, lineno: int, head: str, keys: tuple[str, ...]) -> dict:
@@ -465,58 +520,46 @@ def _kv_line(line: str, lineno: int, head: str, keys: tuple[str, ...]) -> dict:
             out[key] = int(part[len(key) + 1 :])
         except ValueError:
             raise ParseError(f"bad integer in {part!r}", lineno) from None
+        if out[key] < 0:
+            raise ParseError(f"negative integer in {part!r}", lineno)
     return out
 
 
-def _ints(line: str, lineno: int) -> list[int]:
+def _ints(line: str, lineno: int) -> tuple[int, ...]:
     try:
-        return [int(tok) for tok in line.split()]
+        return tuple(map(int, line.split()))
     except ValueError:
         raise ParseError(f"expected integers, got {line!r}", lineno) from None
+
+
+def _edge(reader: _Reader) -> tuple[int, ...]:
+    lineno, line = reader.next("edge line")
+    parts = line.split()
+    if len(parts) != 3 or parts[0] != "e":
+        raise ParseError(f"expected 'e u v', got {line!r}", lineno)
+    return _ints(" ".join(parts[1:]), lineno)
 
 
 def _read_graph(reader: _Reader) -> Graph:
     lineno, line = reader.next("graph header")
     head = _kv_line(line, lineno, "graph", ("n", "m"))
-    n, m = head["n"], head["m"]
-    edges = []
-    seen = set()
-    for _ in range(m):
-        lineno, line = reader.next("edge line")
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "e":
-            raise ParseError(f"expected 'e u v', got {line!r}", lineno)
-        u, v = _ints(" ".join(parts[1:]), lineno)
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"edge ({u},{v}) out of range 1..{n}", lineno)
-        if u == v:
-            raise ParseError(f"loop edge at vertex {u}", lineno)
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise ParseError(f"duplicate edge ({u},{v})", lineno)
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, tuple(edges))
+    # Graph allocates an adjacency set per vertex, so the header pays first
+    budget = resolve_budget(None, DEFAULT_TUPLE_BUDGET)
+    charge("graph header vertices", head["n"], budget)
+    edges = (_edge(reader) for _ in range(head["m"]))
+    return reader.build(Graph, head["n"], edges)
 
 
 def parse_graph(text: str) -> Graph:
     reader = _Reader(text)
     g = _read_graph(reader)
-    if not reader.at_end():
-        lineno, line = reader.peek()
-        raise ParseError(f"trailing content {line!r}", lineno)
+    reader.expect_end()
     return g
 
 
-def _relation_tuple(reader: _Reader, q: int, r: int) -> tuple[int, ...]:
-    """The next line as a tuple of r entries in 1..q."""
-    lineno, line = reader.next("relation tuple")
-    vals = _ints(line, lineno)
-    if len(vals) != r:
-        raise ParseError(f"tuple needs {r} entries, got {len(vals)}", lineno)
-    if any(not 1 <= x <= q for x in vals):
-        raise ParseError(f"tuple entry out of range 1..{q}", lineno)
-    return tuple(vals)
+def _read_nur(reader: _Reader, line: str, lineno: int) -> UrfcShape:
+    head = _kv_line(line, lineno, "nur", ("d", "l", "q"))
+    return reader.build(UrfcShape, head["d"], head["l"], head["q"])
 
 
 def parse_relation(text: str) -> tuple[Relation, UrfcShape | None]:
@@ -524,17 +567,13 @@ def parse_relation(text: str) -> tuple[Relation, UrfcShape | None]:
     reader = _Reader(text)
     lineno, line = reader.next("relation header")
     if line.split()[0] == "nur":
-        head = _kv_line(line, lineno, "nur", ("d", "l", "q"))
+        shape = _read_nur(reader, line, lineno)
         if not reader.at_end():
             raise ParseError("nur shorthand must be the only content", reader.peek()[0])
-        shape = UrfcShape(head["d"], head["l"], head["q"])
         return make_nur(shape.d, shape.l, shape.q), shape
     head = _kv_line(line, lineno, "relation", ("q", "r"))
-    q, r = head["q"], head["r"]
-    tuples = []
-    while not reader.at_end():
-        tuples.append(_relation_tuple(reader, q, r))
-    return Relation(q, r, tuple(tuples)), None
+    tuples = reader.rest("relation tuple")
+    return reader.build(Relation, head["q"], head["r"], tuples), None
 
 
 def _read_relation_block(
@@ -548,38 +587,23 @@ def _read_relation_block(
     if not body:
         raise ParseError("empty rel line", lineno)
     if body[0] == "nur":
-        head = _kv_line(" ".join(body), lineno, "nur", ("d", "l", "q"))
-        shape = UrfcShape(head["d"], head["l"], head["q"])
+        shape = _read_nur(reader, " ".join(body), lineno)
         return make_nur(shape.d, shape.l, shape.q), shape
     if body[0].startswith("file="):
         if relation_loader is None:
             raise ParseError("relation file references are not available here", lineno)
         return relation_loader(body[0][len("file=") :])
     head = _kv_line(line, lineno, "rel", ("q", "r", "count"))
-    q, r, count = head["q"], head["r"], head["count"]
-    tuples = tuple(_relation_tuple(reader, q, r) for _ in range(count))
-    return Relation(q, r, tuples), None
-
-
-def _read_constraints(reader: _Reader, r: int, n: int):
-    constraints = []
-    while not reader.at_end():
-        lineno, line = reader.next("constraint")
-        vals = _ints(line, lineno)
-        if len(vals) != r:
-            raise ParseError(f"constraint needs {r} vertex ids, got {len(vals)}", lineno)
-        if any(not 1 <= v <= n for v in vals):
-            raise ParseError(f"constraint vertex out of range 1..{n}", lineno)
-        constraints.append(tuple(vals))
-    return constraints
+    tuples = (reader.ints("relation tuple") for _ in range(head["count"]))
+    return reader.build(Relation, head["q"], head["r"], tuples), None
 
 
 def parse_rcc(text: str, relation_loader=None) -> RccInstance:
     reader = _Reader(text)
     graph = _read_graph(reader)
     relation, shape = _read_relation_block(reader, relation_loader)
-    constraints = _read_constraints(reader, relation.r, graph.n)
-    return RccInstance(graph, relation, tuple(constraints), shape)
+    constraints = reader.rest("constraint")
+    return reader.build(RccInstance, graph, relation, constraints, shape)
 
 
 def parse_rclc(text: str, relation_loader=None) -> RclcInstance:
@@ -589,11 +613,11 @@ def parse_rclc(text: str, relation_loader=None) -> RclcInstance:
     lists: dict[int, frozenset] = {}
     while not reader.at_end() and reader.peek()[1].startswith("list "):
         lineno, line = reader.next("list line")
-        body = line[len("list ") :]
-        if ":" not in body:
+        vtxt, colon, ctxt = line[len("list ") :].partition(":")
+        vs = _ints(vtxt, lineno)
+        if not colon or len(vs) != 1:
             raise ParseError("list line needs 'list v: colors'", lineno)
-        vtxt, ctxt = body.split(":", 1)
-        v = _ints(vtxt, lineno)[0]
+        v = vs[0]
         if not 1 <= v <= graph.n:
             raise ParseError(f"list vertex {v} out of range", lineno)
         if v in lists:
@@ -605,11 +629,11 @@ def parse_rclc(text: str, relation_loader=None) -> RclcInstance:
     missing = [v for v in range(1, graph.n + 1) if v not in lists]
     if missing:
         raise ParseError(f"missing list line for vertex {missing[0]}")
-    constraints = _read_constraints(reader, relation.r, graph.n)
     assignment = ListAssignment(
         relation.q, tuple(lists[v] for v in range(1, graph.n + 1))
     )
-    return RclcInstance(graph, relation, tuple(constraints), assignment, shape)
+    constraints = reader.rest("constraint")
+    return reader.build(RclcInstance, graph, relation, constraints, assignment, shape)
 
 
 def _read_colors(reader: _Reader) -> int:
@@ -617,47 +641,47 @@ def _read_colors(reader: _Reader) -> int:
     return _kv_line(line, lineno, "colors", ("q",))["q"]
 
 
-def _read_block(reader: _Reader, n: int):
+def _read_block(reader: _Reader) -> GurfcBlock:
+    """The next block, its tuple lines read as the constructor consumes them."""
     lineno, line = reader.next("block header")
     head = _kv_line(line, lineno, "block", ("d", "l", "count"))
-    d, l, count = head["d"], head["l"], head["count"]
-    tuples = []
-    for _ in range(count):
-        tl, tline = reader.next("tuple line")
-        vals = _ints(tline, tl)
-        if len(vals) != d * l:
-            raise ParseError(f"tuple needs {d * l} vertex ids, got {len(vals)}", tl)
-        if any(not 1 <= v <= n for v in vals):
-            raise ParseError(f"tuple vertex out of range 1..{n}", tl)
-        sets = [vals[j * d : (j + 1) * d] for j in range(l)]
-        try:
-            tuples.append(canonicalize_urfc_tuple(sets, d))
-        except ValueError as exc:
-            raise ParseError(str(exc), tl) from None
-    return d, l, tuples
+    d, l = head["d"], head["l"]
+
+    def tuples():
+        for _ in range(head["count"]):
+            lineno, line = reader.next("tuple line")
+            vals = _ints(line, lineno)
+            if len(vals) != d * l:
+                message = f"tuple needs {d * l} vertex ids, got {len(vals)}"
+                raise ParseError(message, lineno)
+            yield [vals[j * d : (j + 1) * d] for j in range(l)]
+
+    return GurfcBlock(d, l, tuples())
 
 
 def parse_urfc(text: str) -> UrfcInstance:
     reader = _Reader(text)
     graph = _read_graph(reader)
     q = _read_colors(reader)
-    d, l, tuples = _read_block(reader, graph.n)
+    b = _read_block(reader)
+    inst = reader.build(UrfcInstance, graph, q, b.d, b.l, b.tuples)
     if not reader.at_end():
         raise ParseError("urfc instance must have exactly one block", reader.peek()[0])
-    return UrfcInstance(graph, q, d, l, tuple(tuples))
+    return inst
 
 
 def parse_gurfc(text: str) -> GurfcInstance:
     reader = _Reader(text)
     graph = _read_graph(reader)
     q = _read_colors(reader)
-    blocks = []
-    while not reader.at_end():
-        d, l, tuples = _read_block(reader, graph.n)
-        blocks.append(GurfcBlock(d, l, tuple(tuples)))
-    if not blocks:
+    if reader.at_end():
         raise ParseError("gurfc instance needs at least one block")
-    return GurfcInstance(graph, q, tuple(blocks))
+
+    def blocks():
+        while not reader.at_end():
+            yield _read_block(reader)
+
+    return reader.build(GurfcInstance, graph, q, blocks())
 
 
 def parse_cliquekv(text: str) -> CliqueKvInstance:
@@ -665,102 +689,72 @@ def parse_cliquekv(text: str) -> CliqueKvInstance:
     graph = _read_graph(reader)
     lineno, line = reader.next("modulator header")
     k = _kv_line(line, lineno, "modulator", ("k",))["k"]
-    ids: list[int] = []
-    while len(ids) < k:
-        lineno, line = reader.next("modulator vertices")
-        ids.extend(_ints(line, lineno))
-    if len(ids) != k:
-        raise ParseError(f"expected exactly {k} modulator vertices", lineno)
-    if not reader.at_end():
-        raise ParseError(f"trailing content {reader.peek()[1]!r}", reader.peek()[0])
-    for v in ids:
-        if not 1 <= v <= graph.n:
-            raise ParseError(f"modulator vertex {v} out of range")
-    if len(set(ids)) != len(ids):
-        raise ParseError("modulator has repeated vertices")
-    return CliqueKvInstance(graph, tuple(ids))
+
+    def modulator():
+        found = 0
+        while found < k:
+            lineno, line = reader.next("modulator vertices")
+            ids = _ints(line, lineno)
+            found += len(ids)
+            if found > k:
+                raise ParseError(f"expected exactly {k} modulator vertices", lineno)
+            yield from ids
+        # before the clique check, which names no line
+        reader.expect_end()
+
+    return reader.build(CliqueKvInstance, graph, modulator())
 
 
 def parse_hypergraph(text: str) -> Hypergraph:
     reader = _Reader(text)
     lineno, line = reader.next("hgraph header")
     head = _kv_line(line, lineno, "hgraph", ("n", "m"))
-    n, m = head["n"], head["m"]
-    edges = []
-    seen = set()
-    for _ in range(m):
-        lineno, line = reader.next("hyperedge line")
-        parts = line.split()
-        if parts[0] != "he":
-            raise ParseError(f"expected 'he s v1 ... vs', got {line!r}", lineno)
-        vals = _ints(" ".join(parts[1:]), lineno)
-        if not vals or vals[0] != len(vals) - 1:
-            raise ParseError("hyperedge size does not match vertex count", lineno)
-        e = vals[1:]
-        if len(set(e)) != len(e):
-            raise ParseError("hyperedge repeats a vertex", lineno)
-        if any(not 1 <= v <= n for v in e):
-            raise ParseError(f"hyperedge vertex out of range 1..{n}", lineno)
-        key = tuple(sorted(e))
-        if key in seen:
-            raise ParseError(f"duplicate hyperedge {key}", lineno)
-        seen.add(key)
-        edges.append(key)
-    if not reader.at_end():
-        raise ParseError(f"trailing content {reader.peek()[1]!r}", reader.peek()[0])
-    return Hypergraph(n, tuple(edges))
+
+    def edges():
+        for _ in range(head["m"]):
+            lineno, line = reader.next("hyperedge line")
+            parts = line.split()
+            if parts[0] != "he":
+                raise ParseError(f"expected 'he s v1 ... vs', got {line!r}", lineno)
+            vals = _ints(" ".join(parts[1:]), lineno)
+            if not vals or vals[0] != len(vals) - 1:
+                raise ParseError("hyperedge size does not match vertex count", lineno)
+            yield vals[1:]
+
+    h = reader.build(Hypergraph, head["n"], edges())
+    reader.expect_end()
+    return h
 
 
 def parse_cnf(text: str) -> CnfFormula:
-    """DIMACS cnf: 'p cnf n m' header, clauses as 0-terminated literal runs."""
-    tokens: list[tuple[int, str]] = []
-    header = None
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("%"):
-            break
-        if line.startswith("p"):
-            if header is not None:
-                raise ParseError("duplicate 'p' header", i)
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad header {line!r}", i)
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ParseError(f"bad header {line!r}", i) from None
-            continue
-        for tok in line.split():
-            tokens.append((i, tok))
-    if header is None:
-        raise ParseError("missing 'p cnf' header")
-    n, m = header
-    clauses = []
-    current: list[int] = []
-    for lineno, tok in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise ParseError(f"bad literal {tok!r}", lineno) from None
-        if lit == 0:
-            if not current:
-                raise ParseError("empty clause", lineno)
-            clauses.append(tuple(current))
-            current = []
-        else:
-            if not 1 <= abs(lit) <= n:
-                raise ParseError(f"literal {lit} out of range", lineno)
-            current.append(lit)
-    if current:
-        raise ParseError("unterminated clause at end of input")
-    if len(clauses) != m:
-        raise ParseError(f"header declares {m} clauses, found {len(clauses)}")
+    """DIMACS cnf: a 'p cnf n m' header, then clauses as 0-terminated literal
+    runs, which may span lines; a clause's line is the line that ends it."""
+    reader = _DimacsReader(text)
+    lineno, line = reader.next("'p cnf' header")
+    parts = line.split()
+    if len(parts) != 4 or parts[:2] != ["p", "cnf"]:
+        raise ParseError(f"bad header {line!r}", lineno)
     try:
-        return CnfFormula(n, tuple(clauses))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+        n, m = int(parts[2]), int(parts[3])
+    except ValueError:
+        raise ParseError(f"bad header {line!r}", lineno) from None
+
+    def clauses():
+        found, current = 0, []
+        for lits in reader.rest("clause"):
+            for lit in lits:
+                if lit:
+                    current.append(lit)
+                    continue
+                found += 1
+                yield current
+                current = []
+        if current:
+            raise ParseError("unterminated clause at end of input")
+        if found != m:
+            raise ParseError(f"header declares {m} clauses, found {found}")
+
+    return reader.build(CnfFormula, n, clauses())
 
 
 PARSERS = {

@@ -75,15 +75,17 @@ class Relation:
             raise ValueError(f"domain size must be positive, got {self.q}")
         if self.r < 1:
             raise ValueError(f"arity must be positive, got {self.r}")
-        canon = []
-        for t in self.tuples:
+        q, r = self.q, self.r
+
+        def checked(t):
             t = tuple(t)
-            if len(t) != self.r:
-                raise ValueError(f"tuple {t} does not have arity {self.r}")
-            if any(not 1 <= x <= self.q for x in t):
-                raise ValueError(f"tuple {t} has entries outside 1..{self.q}")
-            canon.append(t)
-        members = frozenset(canon)
+            if len(t) != r:
+                raise ValueError(f"tuple needs {r} entries, got {len(t)}")
+            if min(t) < 1 or max(t) > q:
+                raise ValueError(f"tuple entry out of range 1..{q}")
+            return t
+
+        members = frozenset(map(checked, self.tuples))
         object.__setattr__(self, "tuples", tuple(sorted(members)))
         object.__setattr__(self, "_members", members)
 

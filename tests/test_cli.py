@@ -267,6 +267,43 @@ class TestReduce:
         assert "output_vertices=4" in out
 
 
+class TestInputFiles:
+    def test_relation_file_resolves_against_the_instance(self, tmp_path, capsys,
+                                                         monkeypatch):
+        data, elsewhere = tmp_path / "data", tmp_path / "elsewhere"
+        data.mkdir()
+        elsewhere.mkdir()
+        (data / "ne.rel").write_text("relation q=2 r=2\n1 2\n2 1\n")
+        (data / "i.rcc").write_text("graph n=3 m=0\nrel file=ne.rel\n1 3\n")
+        (data / "inline.rcc").write_text(
+            "graph n=3 m=0\nrel q=2 r=2 count=2\n1 2\n2 1\n1 3\n")
+        monkeypatch.chdir(elsewhere)
+        code, out = run(capsys, "solve", "--problem", "rcc", "--count",
+                        "../data/i.rcc")
+        assert (code, out) == (0, "YES\ncount=4\n")
+        assert run(capsys, "solve", "--problem", "rcc", "--count",
+                   "../data/inline.rcc") == (code, out)
+
+    def test_missing_relation_file_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "i.rcc"
+        inst.write_text("graph n=3 m=0\nrel file=gone.rel\n1 3\n")
+        assert main(["solve", "--problem", "rcc", str(inst)]) == 2
+        assert "gone.rel" in capsys.readouterr().err
+
+    def test_malformed_list_line_exits_2(self, tmp_path, capsys):
+        inst = tmp_path / "i.rclc"
+        inst.write_text("graph n=1 m=0\nrel nur d=1 l=1 q=2\nlist : 1\n")
+        assert main(["solve", "--problem", "rclc", str(inst)]) == 2
+        assert "line 3: list line needs" in capsys.readouterr().err
+
+    def test_graph_header_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        inst = tmp_path / "i.urfc"
+        inst.write_text("graph n=1000 m=0\ncolors q=2\nblock d=1 l=1 count=0\n")
+        monkeypatch.setenv("CCKER_BUDGET", "100")
+        assert main(["solve", "--problem", "urfc", str(inst)]) == 3
+        assert "graph header vertices: 1000" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # The whole CLI surface, pinned: exit code, stdout and output file digest of
 # every step.  Each case runs its steps in a fresh directory that holds

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccker import generate
+from ccker.budget import BudgetExceededError
 from ccker.instances import (
     CliqueKvInstance,
     CnfFormula,
@@ -10,6 +11,7 @@ from ccker.instances import (
     Hypergraph,
     NotCliqueError,
     ParseError,
+    RccInstance,
     canonicalize_urfc_tuple,
     parse,
     parse_rcc,
@@ -17,7 +19,7 @@ from ccker.instances import (
     serialize,
     validate_clique_kv,
 )
-from ccker.relations import make_nur, UrfcShape
+from ccker.relations import Relation, make_nur, UrfcShape
 
 
 class TestGraph:
@@ -217,3 +219,120 @@ class TestRoundTrips:
         h = Hypergraph(4, ((1, 2), (1, 2, 3)))
         assert parse("hypergraph", serialize(h)) == h
         assert not h.is_uniform(2)
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "kind,text,line,message",
+        [
+            ("rclc", "graph n=1 m=0\nrel nur d=1 l=1 q=2\nlist : 1\n", 3, "list v:"),
+            ("rclc", "graph n=2 m=0\nrel nur d=1 l=1 q=2\nlist 1 2: 1\n", 3, "list v:"),
+            ("graph", "graph n=2 m=-1\n", 1, "negative integer in 'm=-1'"),
+            ("graph", "graph n=-1 m=0\n", 1, "negative integer in 'n=-1'"),
+            ("rcc", "graph n=2 m=0\nrel q=3 r=2 count=-1\n", 2, "negative integer"),
+            ("rcc", "graph n=2 m=0\nrel q=3 r=0 count=0\n", 2, "arity must be positive"),
+            ("rcc", "graph n=2 m=0\nrel nur d=3 l=1 q=2\n", 2, "invalid shape"),
+            ("cliquekv", "graph n=2 m=0\nmodulator k=-1\n", 2, "negative integer"),
+            ("cnf", "p cnf -1 0\n", 1, "nonnegative"),
+        ],
+    )
+    def test_parse_error_at_line(self, kind, text, line, message):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(kind, text)
+        assert err.value.line == line
+
+    def test_first_error_in_file_order(self):
+        text = "graph n=3 m=3\ne 1 2\ne 2 2\ne 1 5\n"
+        with pytest.raises(ParseError, match="loop") as err:
+            parse("graph", text)
+        assert err.value.line == 3
+
+    def test_graph_header_charged_against_budget(self, monkeypatch):
+        monkeypatch.setenv("CCKER_BUDGET", "100")
+        with pytest.raises(BudgetExceededError, match="graph header vertices"):
+            parse("graph", "graph n=1000 m=0\n")
+        assert parse("graph", "graph n=100 m=0\n").n == 100
+
+    def test_relation_file_needs_a_loader(self):
+        with pytest.raises(ParseError, match="not available here") as err:
+            parse_rcc("graph n=2 m=0\nrel file=r.rel\n1 2\n")
+        assert err.value.line == 2
+
+
+def _samples():
+    """Valid instances of every kind, small enough to parse after any edit."""
+    return [
+        ("graph", lambda s: generate.gen_graph(5, 0.4, s)),
+        ("graph", lambda s: Graph(s % 4, ())),
+        ("relation", lambda s: make_nur(2, 1, 3)),
+        ("rcc", lambda s: generate.gen_rcc(
+            5, make_nur(1, 2, 3), 0.3, 0.4, s, nur_shape=UrfcShape(1, 2, 3))),
+        ("rcc", lambda s: generate.gen_rcc(4, make_nur(2, 1, 2), 0.3, 0.4, s)),
+        ("rcc", lambda s: RccInstance(Graph(2, ()), Relation(3, 2, ()), ())),
+        ("rclc", lambda s: generate.gen_rclc(4, make_nur(2, 1, 2), 0.3, 0.3, s)),
+        ("urfc", lambda s: generate.gen_urfc(6, 2, 2, 3, 0.4, 0.3, s)),
+        ("gurfc", lambda s: generate.gen_gurfc(5, 3, [(2, 2), (1, 2)], 0.4, 0.3, s)),
+        ("cliquekv", lambda s: generate.gen_cliquekv(4, 3, 2, s)),
+        ("hypergraph", lambda s: generate.gen_hypergraph(6, 3, 0.3, s)),
+        ("cnf", lambda s: generate.gen_cnf(5, 3, 4, s)),
+    ]
+
+
+def _mutants(text: str):
+    """Every text one edit away: a line dropped, duplicated or swapped with
+    the next, or one token, or the value of one key=value field, replaced."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        yield lines[:i] + lines[i + 1 :]
+        yield lines[: i + 1] + lines[i:]
+        yield lines[:i] + lines[i + 1 : i + 2] + [line] + lines[i + 2 :]
+        tokens = line.split()
+        for t, token in enumerate(tokens):
+            key, eq, _ = token.partition("=")
+            for value in ("-1", "0", "x", "99"):
+                token = key + eq + value if eq else value
+                edited = tokens[:t] + [token] + tokens[t + 1 :]
+                yield lines[:i] + [" ".join(edited)] + lines[i + 1 :]
+
+
+def _id_slots(kind: str, line: str) -> range:
+    """Token positions of the vertex ids, colors or literals of a record line."""
+    tokens = line.split()
+    if tokens[0] in ("e", "he", "list"):
+        return range({"e": 1, "he": 2, "list": 2}[tokens[0]], len(tokens))
+    if all(tok.lstrip("-").isdigit() for tok in tokens):
+        return range(len(tokens) - (kind == "cnf"))  # keep a clause's final 0
+    return range(0)
+
+
+class TestParserRobustness:
+    @given(st.sampled_from(_samples()), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_mutants_raise_only_parse_errors(self, sample, seed):
+        kind, make = sample
+        allowed = (ParseError, BudgetExceededError)
+        if kind == "cliquekv":
+            allowed += (NotCliqueError,)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("CCKER_BUDGET", "10000")
+            for lines in _mutants(serialize(make(seed))):
+                try:
+                    parse(kind, "\n".join(lines) + "\n")
+                except allowed:
+                    pass
+
+    @given(st.sampled_from(_samples()), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_single_record_errors_name_their_line(self, sample, seed):
+        kind, make = sample
+        lines = serialize(make(seed)).splitlines()
+        values = ("99", "-99") if kind == "cnf" else ("0", "-1", "99")
+        for i, line in enumerate(lines):
+            tokens = line.split()
+            for t in _id_slots(kind, line):
+                for value in values:
+                    edited = tokens[:t] + [value] + tokens[t + 1 :]
+                    text = "\n".join(lines[:i] + [" ".join(edited)] + lines[i + 1 :])
+                    with pytest.raises(ParseError) as err:
+                        parse(kind, text + "\n")
+                    assert err.value.line == i + 1, str(err.value)
