@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 from . import generate, oracles, polykernel, reductions
 from .budget import BudgetExceededError
 from .instances import (
+    ParseError,
     parse_cliquekv,
     parse_cnf,
     parse_gurfc,
@@ -80,8 +81,18 @@ def _load_relation(source: str):
 
 
 def _relation_loader_for(path: str):
+    """Loader for ``rel file=REF`` lines: REF is read relative to the
+    instance file, and a parse error in it names REF."""
     base = os.path.dirname(os.path.abspath(path))
-    return lambda ref: parse_relation(_read(os.path.join(base, ref)))
+
+    def load(ref: str):
+        text = _read(os.path.join(base, ref))
+        try:
+            return parse_relation(text)
+        except ParseError as exc:
+            raise ParseError(f"{ref}: {exc}") from None
+
+    return load
 
 
 def _require(value, flag: str):

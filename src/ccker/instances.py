@@ -738,6 +738,8 @@ def parse_cnf(text: str) -> CnfFormula:
         n, m = int(parts[2]), int(parts[3])
     except ValueError:
         raise ParseError(f"bad header {line!r}", lineno) from None
+    if m < 0:
+        raise ParseError(f"clause count must be nonnegative, got {m}", lineno)
 
     def clauses():
         found, current = 0, []

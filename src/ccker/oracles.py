@@ -4,9 +4,9 @@ Two engines back the solvers.  Constrained (list) coloring and hypergraph
 coloring use a depth-first search over colorings with list pruning; the
 vertex schedule is a fixed, instance-determined maximum-cardinality order so
 that gadget-heavy instances refute in reasonable time.  Rainbow-free
-coloring enumerates all q^n colorings in vectorized chunks, directly on the
-set semantics, which deliberately shares nothing with the relation encoding
-it cross-checks.
+coloring extends partial colorings vertex by vertex in numpy, dropping each
+at its first violated edge or tuple, directly on the set semantics, which
+deliberately shares nothing with the relation encoding it cross-checks.
 
 Budgets are hard errors.  Full enumeration charges q^n against the budget;
 decision mode (``limit`` set) instead charges explored search nodes.
@@ -210,21 +210,11 @@ def solve_hypergraph_qcol(
 
 
 # ---------------------------------------------------------------------------
-# Vectorized rainbow-free solver
+# Level-wise rainbow-free solver
 # ---------------------------------------------------------------------------
 
 _CHUNK_ROWS = 1 << 13
 _TUPLE_BATCH = 512
-
-
-def _coloring_chunks(n: int, q: int):
-    """Yield (q^chunk, n) int16 arrays of colorings in lexicographic order."""
-    total = q**n
-    weights = np.array([q ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    for start in range(0, total, _CHUNK_ROWS):
-        codes = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-        digits = (codes[:, None] // weights[None, :]) % q
-        yield digits.astype(np.int16) + 1
 
 
 def _uniformly_rainbow_mask(block_colors: np.ndarray, d: int, l: int) -> np.ndarray:
@@ -252,44 +242,54 @@ def solve_urfc(
 ) -> SolutionSet:
     """All proper colorings with no uniformly rainbow constraint tuple.
 
-    Implemented directly on the set semantics by exhaustive enumeration, so
-    it is an independent cross-check of the NUR relation encoding.
+    Implemented directly on the set semantics, so it is an independent
+    cross-check of the NUR relation encoding.  Step k extends the surviving
+    colorings of vertices 1..k-1 by each color of k, in color order so the
+    rows stay sorted, and drops those with a monochromatic edge back from k
+    or a uniformly rainbow tuple whose largest vertex is k.
     """
-    gurfc = inst.as_gurfc() if isinstance(inst, UrfcInstance) else inst
-    graph, q = gurfc.graph, gurfc.q
-    n = graph.n
+    graph, q, n = inst.graph, inst.q, inst.graph.n
     b = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     charge("coloring enumeration", q**n, b)
+    if not n:  # the one empty coloring; the conversion below needs a column
+        return SolutionSet(q, ((),))
 
-    blocks = []
-    for block in gurfc.blocks:
-        if block.tuples:
-            idx = np.array(
-                [[v - 1 for s in tp for v in s] for tp in block.tuples],
-                dtype=np.int64,
-            )
-            blocks.append((block.d, block.l, idx))
-    eu = np.array([u - 1 for u, v in graph.edges], dtype=np.int64)
-    ev = np.array([v - 1 for u, v in graph.edges], dtype=np.int64)
+    back: list[list[int]] = [[] for _ in range(n)]
+    for u, v in graph.edges:
+        back[v - 1].append(u - 1)
+    due: list[dict] = [{} for _ in range(n)]
+    blocks = inst.blocks if isinstance(inst, GurfcInstance) else (inst,)
+    for block in blocks:  # a UrfcInstance has the d, l and tuples of one block
+        shape = (block.d, block.l)
+        for tp in block.tuples:
+            last = max(s[-1] for s in tp) - 1
+            due[last].setdefault(shape, []).append([v - 1 for s in tp for v in s])
 
-    solutions: list[tuple[int, ...]] = []
-    for chunk in _coloring_chunks(n, q):
-        ok = np.ones(chunk.shape[0], dtype=bool)
-        if eu.size:
-            ok &= (chunk[:, eu] != chunk[:, ev]).all(axis=1)
-        for d, l, idx in blocks:
-            if not ok.any():
-                break
-            for start in range(0, idx.shape[0], _TUPLE_BATCH):
-                batch = idx[start : start + _TUPLE_BATCH]
-                gathered = chunk[:, batch.reshape(-1)].reshape(
-                    chunk.shape[0], batch.shape[0], l, d
-                )
-                ok &= ~_uniformly_rainbow_mask(gathered, d, l).any(axis=1)
-                if not ok.any():
-                    break
-        solutions.extend(map(tuple, chunk[ok].tolist()))
-    return SolutionSet(q, tuple(sorted(solutions)))
+    colors = np.arange(1, q + 1, dtype=np.min_scalar_type(q))
+    front = np.zeros((1, 0), dtype=colors.dtype)
+    for k in range(n):
+        front = np.column_stack(
+            (np.repeat(front, q, axis=0), np.tile(colors, len(front)))
+        )
+        front = front[(front[:, back[k]] != front[:, k : k + 1]).all(axis=1)]
+        for (d, l), rows in due[k].items():
+            idx = np.array(rows, dtype=np.intp)
+            ok = np.ones(len(front), dtype=bool)
+            for r in range(0, len(front), _CHUNK_ROWS):
+                for t in range(0, len(idx), _TUPLE_BATCH):
+                    batch = idx[t : t + _TUPLE_BATCH]
+                    cols = front[r : r + _CHUNK_ROWS, batch.reshape(-1)]
+                    cols = cols.reshape(-1, len(batch), l, d)
+                    mask = _uniformly_rainbow_mask(cols, d, l)
+                    ok[r : r + _CHUNK_ROWS] &= ~mask.any(axis=1)
+            front = front[ok]
+        if not len(front):
+            break
+    colorings: list[tuple[int, ...]] = []
+    for r in range(0, len(front), _CHUNK_ROWS):
+        colorings.extend(zip(*front[r : r + _CHUNK_ROWS].T.tolist()))
+    del front  # the tuple copy below is the peak of memory
+    return SolutionSet(q, tuple(colorings))
 
 
 # ---------------------------------------------------------------------------

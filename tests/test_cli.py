@@ -290,6 +290,13 @@ class TestInputFiles:
         assert main(["solve", "--problem", "rcc", str(inst)]) == 2
         assert "gone.rel" in capsys.readouterr().err
 
+    def test_relation_file_error_names_the_file(self, tmp_path, capsys):
+        (tmp_path / "r.rel").write_text("relation q=2\n")
+        inst = tmp_path / "i.rcc"
+        inst.write_text("graph n=3 m=0\nrel file=r.rel\n1 3\n")
+        assert main(["solve", "--problem", "rcc", str(inst)]) == 2
+        assert "error: r.rel: line 1: 'relation' line needs" in capsys.readouterr().err
+
     def test_malformed_list_line_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "i.rclc"
         inst.write_text("graph n=1 m=0\nrel nur d=1 l=1 q=2\nlist : 1\n")

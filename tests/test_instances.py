@@ -234,6 +234,7 @@ class TestMalformedInput:
             ("rcc", "graph n=2 m=0\nrel nur d=3 l=1 q=2\n", 2, "invalid shape"),
             ("cliquekv", "graph n=2 m=0\nmodulator k=-1\n", 2, "negative integer"),
             ("cnf", "p cnf -1 0\n", 1, "nonnegative"),
+            ("cnf", "p cnf 3 -1\n1 0\n", 1, "clause count must be nonnegative"),
         ],
     )
     def test_parse_error_at_line(self, kind, text, line, message):

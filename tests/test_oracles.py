@@ -1,17 +1,19 @@
 import gc
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccker import generate
+from ccker import generate, oracles
 from ccker.budget import BudgetExceededError
 from ccker.instances import (
     CliqueKvInstance,
     CnfFormula,
     Graph,
+    GurfcInstance,
     Hypergraph,
     RccInstance,
     RclcInstance,
@@ -35,11 +37,30 @@ def urfc_predicate(inst, coloring):
     for u, v in inst.graph.edges:
         if coloring[u - 1] == coloring[v - 1]:
             return False
-    for tp in inst.tuples:
-        flat = [coloring[v - 1] for s in tp for v in s]
-        if is_uniformly_rainbow(flat, inst.d, inst.l):
-            return False
+    blocks = inst.blocks if isinstance(inst, GurfcInstance) else (inst,)
+    for block in blocks:
+        for tp in block.tuples:
+            flat = [coloring[v - 1] for s in tp for v in s]
+            if is_uniformly_rainbow(flat, block.d, block.l):
+                return False
     return True
+
+
+@st.composite
+def rainbow_free_instances(draw):
+    """Urfc and mixed-block gurfc instances, n=0..7 and q=1..4, with tuple
+    densities from none to every tuple of each shape."""
+    n = draw(st.integers(0, 7))
+    q = draw(st.integers(1, 4))
+    shape = st.tuples(st.integers(1, q), st.integers(1, 3))
+    shapes = draw(st.lists(shape, min_size=1, max_size=3, unique=True))
+    density = draw(st.sampled_from((0.0, 0.1, 0.4, 1.0)))
+    edge_density = draw(st.sampled_from((0.0, 0.2, 0.6)))
+    seed = draw(st.integers(0, 2**16))
+    if len(shapes) == 1 and draw(st.booleans()):
+        (d, l), = shapes
+        return generate.gen_urfc(n, d, l, q, density, edge_density, seed)
+    return generate.gen_gurfc(n, q, shapes, density, edge_density, seed)
 
 
 class TestSolveRcc:
@@ -137,6 +158,37 @@ class TestSolveUrfc:
     def test_empty_graph(self):
         inst = UrfcInstance(Graph(0, ()), 2, 1, 2, ())
         assert solve_urfc(inst).colorings == ((),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rainbow_free_instances(),
+        st.sampled_from((1, 7, 1 << 13)),
+        st.sampled_from((1, 3, 512)),
+    )
+    def test_matches_direct_predicate(self, inst, chunk_rows, tuple_batch):
+        # small row chunks and tuple batches run every gather loop
+        with (
+            mock.patch.object(oracles, "_CHUNK_ROWS", chunk_rows),
+            mock.patch.object(oracles, "_TUPLE_BATCH", tuple_batch),
+        ):
+            got = solve_urfc(inst).colorings
+        every = itertools.product(range(1, inst.q + 1), repeat=inst.graph.n)
+        assert got == tuple(c for c in every if urfc_predicate(inst, c))
+        assert all(a < b for a, b in zip(got, got[1:]))
+        assert all(type(c) is int for coloring in got for c in coloring)
+
+    def test_unconstrained_lists_every_coloring_in_order(self):
+        # 3^9 rows, more than one conversion chunk
+        inst = UrfcInstance(Graph(9, ()), 3, 1, 2, ())
+        every = tuple(itertools.product(range(1, 4), repeat=9))
+        assert solve_urfc(inst).colorings == every
+
+    def test_budget_charged_before_pruning(self):
+        # a 2-colored triangle is refuted at vertex 3, but 2^3 is charged first
+        inst = UrfcInstance(Graph(3, ((1, 2), (1, 3), (2, 3))), 2, 1, 2, ())
+        with pytest.raises(BudgetExceededError, match="coloring enumeration"):
+            solve_urfc(inst, budget=2**3 - 1)
+        assert not solve_urfc(inst, budget=2**3).is_yes
 
 
 class TestSearchAccounting:
