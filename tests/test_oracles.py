@@ -234,7 +234,42 @@ class TestSolveHypergraph:
         assert len(solve_hypergraph_qcol(h, 3)) == 6
 
 
+def cnf_reference(formula, mode):
+    """Every assignment in lex order, each clause evaluated directly."""
+    out = []
+    for assignment in itertools.product((False, True), repeat=formula.n):
+        values = [
+            [assignment[abs(lit) - 1] == (lit > 0) for lit in clause]
+            for clause in formula.clauses
+        ]
+        if all(any(v) and (mode == "sat" or not all(v)) for v in values):
+            out.append(assignment)
+    return tuple(out)
+
+
+@st.composite
+def cnf_formulas(draw):
+    """Formulas over n=0..8 variables with clause widths 1..3."""
+    n = draw(st.integers(0, 8))
+    if not n:
+        return CnfFormula(0, ())
+    literal = st.tuples(st.integers(1, n), st.booleans())
+    clause = st.lists(literal, min_size=1, max_size=min(3, n), unique_by=lambda x: x[0])
+    clauses = draw(st.lists(clause, max_size=12))
+    return CnfFormula(
+        n, tuple(tuple(v if pos else -v for v, pos in cl) for cl in clauses)
+    )
+
+
 class TestSolveCnf:
+    @given(cnf_formulas(), st.sampled_from(("sat", "nae")))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_product_reference(self, formula, mode):
+        ref = cnf_reference(formula, mode)
+        assert solve_cnf(formula, mode) == ref
+        first = solve_cnf(formula, mode, limit=1)
+        assert set(first) <= set(ref) and len(first) == min(1, len(ref))
+
     def test_examples(self):
         assert len(solve_cnf(CnfFormula(2, ((1, 2),)), "sat")) == 3
         assert len(solve_cnf(CnfFormula(3, ((1, 2, 3),)), "nae")) == 6
@@ -265,6 +300,24 @@ def brute_force_extension(inst, q, coloring):
         if all(full[u] != full[v] for u, v in inst.graph.edges):
             return full
     return None
+
+
+def graph_colorable(graph, q):
+    """Backtracking over vertices 1..n in order, whole graph at once."""
+    colors = [0] * (graph.n + 1)
+
+    def extend(v):
+        if v > graph.n:
+            return True
+        for c in range(1, q + 1):
+            if all(colors[u] != c for u in graph.neighbors(v) if u < v):
+                colors[v] = c
+                if extend(v + 1):
+                    return True
+        colors[v] = 0
+        return False
+
+    return extend(1)
 
 
 class TestExtendToCliques:
@@ -319,3 +372,23 @@ class TestExtendToCliques:
             Graph(4, tuple(itertools.combinations(range(1, 5), 2))), ()
         )
         assert not cliquekv_colorable(k4, 3)
+
+    @pytest.mark.parametrize("q", [3, 4])
+    def test_colorable_matches_whole_graph_search(self, q):
+        rng = random.Random(q)
+        seen = set()
+        for _ in range(40):
+            inst = generate.gen_cliquekv(
+                rng.randint(1, 4),
+                rng.randint(1, q),
+                rng.randint(1, 3),
+                rng.randint(0, 10**6),
+                rng.choice((0.4, 0.8, 1.0)),
+                rng.choice((0.5, 0.9)),
+            )
+            if inst.graph.n > 9:
+                continue
+            expected = graph_colorable(inst.graph, q)
+            assert cliquekv_colorable(inst, q) == expected
+            seen.add(expected)
+        assert seen == {False, True}
