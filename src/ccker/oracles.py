@@ -1,7 +1,9 @@
 """Exhaustive ground-truth solvers used to certify kernels and reductions.
 
-Two engines back the solvers.  Constrained (list) coloring and hypergraph
-coloring use a depth-first search over colorings with list pruning; the
+Two engines back the solvers.  A depth-first search over colorings with list
+pruning serves every predicate oracle: (list) coloring with constraints,
+hypergraph coloring, CNF (two colors, a check per clause) and clique
+modulators (a check that the coloring extends across the cliques).  Its
 vertex schedule is a fixed, instance-determined maximum-cardinality order so
 that gadget-heavy instances refute in reasonable time.  Rainbow-free
 coloring extends partial colorings vertex by vertex in numpy, dropping each
@@ -9,12 +11,12 @@ at its first violated edge or tuple, directly on the set semantics, which
 deliberately shares nothing with the relation encoding it cross-checks.
 
 Budgets are hard errors.  Full enumeration charges q^n against the budget;
-decision mode (``limit`` set) instead charges explored search nodes.
+decision mode (``limit`` set) instead charges explored search nodes, except
+in the CNF and clique-modulator oracles, which charge q^n in both modes.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -92,12 +94,14 @@ def _schedule(n: int, lists, adjacency, groups) -> list[int]:
     return order
 
 
-def _dfs_colorings(n, q, lists, adjacency, checks, limit, budget):
+def _dfs_colorings(n, lists, adjacency, checks, limit, node_budget):
     """Enumerate colorings passing list, edge, and group checks.
 
+    ``lists`` and ``adjacency`` are indexed by vertex (index 0 is unused).
     ``checks`` is a list of (vertex_tuple, predicate) pairs; a predicate is
     evaluated on the colors of its vertices as soon as the last of them is
-    assigned.  Returns colorings in vertex order, sorted.
+    assigned.  It stops after ``limit`` solutions, if set, and meters its
+    nodes against ``node_budget``.  Returns colorings in vertex order, sorted.
     """
     for vs, _ in checks:
         for v in vs:
@@ -118,8 +122,6 @@ def _dfs_colorings(n, q, lists, adjacency, checks, limit, budget):
     colors = [0] * (n + 1)
     solutions: list[tuple[int, ...]] = []
     nodes = 0
-    # full enumeration was charged q^n up front; only decision mode meters nodes
-    node_budget = budget if limit is not None else math.inf
 
     def rec(depth: int) -> bool:
         nonlocal nodes
@@ -130,7 +132,7 @@ def _dfs_colorings(n, q, lists, adjacency, checks, limit, budget):
         for c in sorted(domains[v]):
             nodes += 1
             if nodes > node_budget:
-                charge("coloring search nodes", nodes, budget)
+                charge("coloring search nodes", nodes, node_budget)
             colors[v] = c
             ok = all(
                 pred(tuple(colors[u] for u in vs)) for vs, pred in due[depth]
@@ -158,44 +160,45 @@ def _dfs_colorings(n, q, lists, adjacency, checks, limit, budget):
     return solutions
 
 
-def _coloring_budget(n, q, limit, budget):
+def _node_budget(what: str, q: int, n: int, budget, up_front: bool = True):
+    """Node budget for a search over q^n colorings: unbounded once q^n is
+    charged up front under ``what``, else the resolved budget, against which
+    the search meters its nodes (decision mode)."""
     b = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
-    if limit is None:
-        charge("coloring enumeration", q**n, b)
-    return b
+    if not up_front:
+        return b
+    charge(what, q**n, b)
+    return math.inf
+
+
+def _solve_relational(inst, lists, limit, budget) -> SolutionSet:
+    n, q = inst.graph.n, inst.relation.q
+    nodes = _node_budget("coloring enumeration", q, n, budget, limit is None)
+    checks = [(t, inst.relation._members.__contains__) for t in inst.constraints]
+    sols = _dfs_colorings(n, lists, inst.graph._adj, checks, limit, nodes)
+    return SolutionSet(q, tuple(sols))
 
 
 def solve_rcc(
     inst: RccInstance, limit: int | None = None, budget: int | None = None
 ) -> SolutionSet:
     """All proper colorings landing every constraint tuple in the relation."""
-    n, q = inst.graph.n, inst.relation.q
-    b = _coloring_budget(n, q, limit, budget)
-    members = inst.relation._members
-    checks = [(t, lambda cs, m=members: cs in m) for t in inst.constraints]
-    lists = {v: frozenset(range(1, q + 1)) for v in range(1, n + 1)}
-    sols = _dfs_colorings(n, q, lists, inst.graph._adj, checks, limit, b)
-    return SolutionSet(q, tuple(sols))
+    lists = [frozenset(range(1, inst.relation.q + 1))] * (inst.graph.n + 1)
+    return _solve_relational(inst, lists, limit, budget)
 
 
 def solve_rclc(
     inst: RclcInstance, limit: int | None = None, budget: int | None = None
 ) -> SolutionSet:
     """As solve_rcc, additionally respecting the per-vertex color lists."""
-    n, q = inst.graph.n, inst.relation.q
-    b = _coloring_budget(n, q, limit, budget)
-    members = inst.relation._members
-    checks = [(t, lambda cs, m=members: cs in m) for t in inst.constraints]
-    lists = {v: inst.lists.get(v) for v in range(1, n + 1)}
-    sols = _dfs_colorings(n, q, lists, inst.graph._adj, checks, limit, b)
-    return SolutionSet(q, tuple(sols))
+    return _solve_relational(inst, (frozenset(),) + inst.lists.lists, limit, budget)
 
 
 def solve_hypergraph_qcol(
     h: Hypergraph, q: int, limit: int | None = None, budget: int | None = None
 ) -> SolutionSet:
     """All q-colorings of the hypergraph with no monochromatic edge."""
-    b = _coloring_budget(h.n, q, limit, budget)
+    nodes = _node_budget("coloring enumeration", q, h.n, budget, limit is None)
     pair_edges = [e for e in h.edges if len(e) == 2]
     adjacency = [set() for _ in range(h.n + 1)]
     for u, v in pair_edges:
@@ -204,8 +207,8 @@ def solve_hypergraph_qcol(
     checks = [
         (e, lambda cs: len(set(cs)) > 1) for e in h.edges if len(e) != 2
     ]
-    lists = {v: frozenset(range(1, q + 1)) for v in range(1, h.n + 1)}
-    sols = _dfs_colorings(h.n, q, lists, adjacency, checks, limit, b)
+    lists = [frozenset(range(1, q + 1))] * (h.n + 1)
+    sols = _dfs_colorings(h.n, lists, adjacency, checks, limit, nodes)
     return SolutionSet(q, tuple(sols))
 
 
@@ -249,8 +252,7 @@ def solve_urfc(
     or a uniformly rainbow tuple whose largest vertex is k.
     """
     graph, q, n = inst.graph, inst.q, inst.graph.n
-    b = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
-    charge("coloring enumeration", q**n, b)
+    _node_budget("coloring enumeration", q, n, budget)
     if not n:  # the one empty coloring; the conversion below needs a column
         return SolutionSet(q, ((),))
 
@@ -303,32 +305,26 @@ def solve_cnf(
     limit: int | None = None,
     budget: int | None = None,
 ) -> tuple[tuple[bool, ...], ...]:
-    """All satisfying assignments, in SAT or not-all-equal mode."""
+    """All satisfying assignments, in SAT or not-all-equal mode, sorted.
+
+    Variables are colored 1 (false) or 2 (true); a clause needs a true
+    literal, and in ``nae`` mode a false one as well.  All 2^n assignments
+    are charged up front in both modes; with ``limit``, the result is the
+    first ``limit`` solutions the search finds.
+    """
     if mode not in ("sat", "nae"):
         raise ValueError(f"mode must be 'sat' or 'nae', got {mode!r}")
-    b = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
-    charge("assignment enumeration", 2**formula.n, b)
+    n = formula.n
+    nodes = _node_budget("assignment enumeration", 2, n, budget)
+    wanted = {True} if mode == "sat" else {True, False}  # literal values seen
 
-    def lit_value(assignment, lit):
-        value = assignment[abs(lit) - 1]
-        return value if lit > 0 else not value
+    def satisfied(clause):
+        return lambda cs: {(c == 2) == (x > 0) for c, x in zip(cs, clause)} >= wanted
 
-    out = []
-    for assignment in itertools.product((False, True), repeat=formula.n):
-        good = True
-        for clause in formula.clauses:
-            values = [lit_value(assignment, lit) for lit in clause]
-            if mode == "sat":
-                good = any(values)
-            else:
-                good = any(values) and not all(values)
-            if not good:
-                break
-        if good:
-            out.append(assignment)
-            if limit is not None and len(out) >= limit:
-                break
-    return tuple(out)
+    checks = [(tuple(map(abs, cl)), satisfied(cl)) for cl in formula.clauses]
+    lists = [frozenset((1, 2))] * (n + 1)
+    sols = _dfs_colorings(n, lists, [()] * (n + 1), checks, limit, nodes)
+    return tuple(tuple(c == 2 for c in coloring) for coloring in sols)
 
 
 # ---------------------------------------------------------------------------
@@ -387,38 +383,17 @@ def extend_to_cliques(
     return result
 
 
-def _proper_modulator_colorings(inst: CliqueKvInstance, q: int):
-    xs = list(inst.modulator)
-    index = {v: i for i, v in enumerate(xs)}
-    colors = [0] * len(xs)
-
-    def rec(i):
-        if i == len(xs):
-            yield {v: colors[index[v]] for v in xs}
-            return
-        v = xs[i]
-        banned = {
-            colors[index[u]]
-            for u in inst.graph.neighbors(v)
-            if u in index and index[u] < i
-        }
-        for c in range(1, q + 1):
-            if c not in banned:
-                colors[i] = c
-                yield from rec(i + 1)
-        colors[i] = 0
-
-    yield from rec(0)
-
-
 def cliquekv_colorable(
     inst: CliqueKvInstance, q: int, budget: int | None = None
 ) -> bool:
-    """Brute-force q-colorability: enumerate proper modulator colorings and
-    try to extend each across the residual cliques."""
-    b = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
-    charge("modulator enumeration", q ** len(inst.modulator), b)
-    for coloring in _proper_modulator_colorings(inst, q):
-        if extend_to_cliques(inst, q, coloring) is not None:
-            return True
-    return False
+    """Brute-force q-colorability: search the proper colorings of the
+    modulator for one that extends across the residual cliques."""
+    nodes = _node_budget("modulator enumeration", q, inst.k, budget)
+    graph, _ = inst.graph.induced(inst.modulator)  # modulator[i] becomes i + 1
+
+    def extends(colors) -> bool:
+        return extend_to_cliques(inst, q, zip(inst.modulator, colors)) is not None
+
+    check = (tuple(range(1, graph.n + 1)), extends)
+    lists = [frozenset(range(1, q + 1))] * (graph.n + 1)
+    return bool(_dfs_colorings(graph.n, lists, graph._adj, [check], 1, nodes))

@@ -248,21 +248,11 @@ def _color_index_chunks(columns: int, q: int, chunk_rows: int = 1 << 14):
         yield (codes[:, None] // weights[None, :]) % q
 
 
-def check_captures(
-    cp: CapturePair,
-    d: int | None = None,
-    l: int | None = None,
-    q: int | None = None,
-    budget: int | None = None,
-) -> bool:
+def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
     """Exhaustively verify the capture property over all q^(d*l) C-colored
-    matrices: the polynomial is nonzero exactly on the uniformly rainbow
-    ones."""
-    d = cp.d if d is None else d
-    l = cp.l if l is None else l
-    q = cp.q if q is None else q
-    if (d, l, q) != (cp.d, cp.l, cp.q):
-        raise ValueError("shape does not match the capture pair")
+    matrices of the pair's shape: the polynomial is nonzero exactly on the
+    uniformly rainbow ones."""
+    d, l, q = cp.d, cp.l, cp.q
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
     charge("capture check", q ** (d * l), b)
 

@@ -143,26 +143,19 @@ def _closed_under(rel: Relation, perm: tuple[int, ...]) -> bool:
     return all(tuple(perm[x - 1] for x in t) in members for t in rel.tuples)
 
 
-def is_permutation_invariant(rel: Relation, factorial_cap: int = 8) -> bool:
+def is_permutation_invariant(rel: Relation) -> bool:
     """Decide whether domain permutations preserve membership, exactly.
 
-    For q up to ``factorial_cap`` all q! permutations are enumerated; above
-    the cap only a generating set is checked (all transpositions plus the
-    q-cycle), which is equivalent because the relation is finite.
+    Checks closure under the transposition (1 2) and the q-cycle, which
+    generate the symmetric group on [q]; closure under generators is closure
+    under the group because the relation is finite.
     """
     q = rel.q
-    identity = tuple(range(1, q + 1))
-    if q <= factorial_cap:
-        gens = itertools.permutations(identity)
-    else:
-        gens = []
-        for i in range(q):
-            for j in range(i + 1, q):
-                p = list(identity)
-                p[i], p[j] = p[j], p[i]
-                gens.append(tuple(p))
-        gens.append(tuple(range(2, q + 1)) + (1,))
-    return all(_closed_under(rel, p) for p in gens)
+    if q < 2:
+        return True
+    swap = (2, 1) + tuple(range(3, q + 1))
+    cycle = tuple(range(2, q + 1)) + (1,)
+    return _closed_under(rel, swap) and _closed_under(rel, cycle)
 
 
 @dataclass(frozen=True)

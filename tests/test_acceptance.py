@@ -14,7 +14,7 @@ import time
 import pytest
 
 from ccker import generate
-from ccker.instances import Graph, ListAssignment, RclcInstance, serialize
+from ccker.instances import Graph, Hypergraph, ListAssignment, RclcInstance, serialize
 from ccker.oracles import (
     cliquekv_colorable,
     extend_to_cliques,
@@ -23,7 +23,6 @@ from ccker.oracles import (
     solve_rcc,
     solve_rclc,
     solve_urfc,
-    _proper_modulator_colorings,
 )
 from ccker.polykernel import build_capture, check_captures, kernelize_product_pruning, kernelize_urfc
 from ccker.reductions import (
@@ -55,7 +54,8 @@ def test_capture_property():
     for d, l, q in CAPTURE_SHAPES:
         start = time.monotonic()
         cp = build_capture(d, l, q)
-        assert check_captures(cp, d, l, q), f"capture fails on ({d},{l},{q})"
+        assert (cp.d, cp.l, cp.q) == (d, l, q)
+        assert check_captures(cp), f"capture fails on ({d},{l},{q})"
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"({d},{l},{q}) took {elapsed:.2f}s"
         assert cp.poly.degree <= ITEM_DEGREE[cp.item](d, l)
@@ -215,9 +215,9 @@ def test_clique_modulator_pipeline():
 
         extracted, _ = extract_clique_constraints(inst, q, t)
         accepted = set(solve_urfc(extracted).colorings)
-        for coloring in _proper_modulator_colorings(inst, q):
-            key = tuple(coloring[v] for v in inst.modulator)
-            extends = extend_to_cliques(inst, q, coloring) is not None
+        graph, _ = inst.graph.induced(inst.modulator)
+        for key in solve_hypergraph_qcol(Hypergraph(graph.n, graph.edges), q):
+            extends = extend_to_cliques(inst, q, zip(inst.modulator, key)) is not None
             assert extends == (key in accepted), i
 
 

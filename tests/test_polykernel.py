@@ -293,11 +293,6 @@ class TestCapture:
         )
         assert not check_captures(bad)
 
-    def test_shape_mismatch_rejected(self):
-        cp = build_capture(2, 2, 3)
-        with pytest.raises(ValueError):
-            check_captures(cp, d=2, l=2, q=4)
-
     def test_budget(self):
         cp = build_capture(2, 3, 3)
         with pytest.raises(BudgetExceededError):

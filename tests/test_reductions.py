@@ -11,6 +11,7 @@ from ccker.instances import (
     Graph,
     GurfcBlock,
     GurfcInstance,
+    Hypergraph,
     ListAssignment,
     RclcInstance,
     UrfcInstance,
@@ -283,18 +284,16 @@ class TestExtractCliqueConstraints:
 
     def test_extension_equivalence_exhaustive(self):
         rng = random.Random(41)
-        from ccker.oracles import _proper_modulator_colorings
-
         for _ in range(12):
             inst = generate.gen_cliquekv(
                 rng.randint(2, 5), 2, rng.randint(1, 3), rng.randint(0, 10**6)
             )
             out, _ = extract_clique_constraints(inst, 3, 2)
             accepted = set(solve_urfc(out).colorings)
-            for coloring in _proper_modulator_colorings(inst, 3):
-                key = tuple(coloring[v] for v in inst.modulator)
-                extends = extend_to_cliques(inst, 3, coloring) is not None
-                assert extends == (key in accepted)
+            graph, _ = inst.graph.induced(inst.modulator)
+            for key in solve_hypergraph_qcol(Hypergraph(graph.n, graph.edges), 3):
+                extended = extend_to_cliques(inst, 3, zip(inst.modulator, key))
+                assert (extended is not None) == (key in accepted)
 
 
 class TestGurfcToCliquekv:

@@ -83,14 +83,26 @@ class TestPermutationInvariance:
 
     def test_generator_path_agrees_with_factorial_path(self):
         rng = random.Random(11)
-        for _ in range(60):
-            q = rng.randint(2, 4)
-            r = rng.randint(1, 4)
+        for _ in range(200):
+            q = rng.randint(1, 5)
+            r = rng.randint(1, 3)
             pool = list(itertools.product(range(1, q + 1), repeat=r))
-            rel = Relation(q, r, tuple(rng.sample(pool, rng.randint(0, len(pool)))))
-            full = is_permutation_invariant(rel, factorial_cap=8)
-            gens = is_permutation_invariant(rel, factorial_cap=1)
-            assert full == gens == brute_force_invariant(rel)
+            # unions of orbits under all of S_q, under the rotations only and
+            # under one swap only, besides plain random sets
+            colors = list(range(1, q + 1))
+            groups = (
+                list(itertools.permutations(colors)),
+                [colors[i:] + colors[:i] for i in range(q)],
+                [colors, colors[1::-1] + colors[2:]],
+            )
+            reps = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+            group = rng.choice(groups)
+            if rng.random() < 0.25:
+                tuples = rng.sample(pool, rng.randint(0, len(pool)))
+            else:
+                tuples = [tuple(g[x - 1] for x in t) for g in group for t in reps]
+            rel = Relation(q, r, tuple(tuples))
+            assert is_permutation_invariant(rel) == brute_force_invariant(rel)
 
 
 class TestOrWitness:
