@@ -316,7 +316,7 @@ def solve_cnf(
         raise ValueError(f"mode must be 'sat' or 'nae', got {mode!r}")
     n = formula.n
     nodes = _node_budget("assignment enumeration", 2, n, budget)
-    wanted = {True} if mode == "sat" else {True, False}  # literal values seen
+    wanted = {True} if mode == "sat" else {True, False}  # values a clause must show
 
     def satisfied(clause):
         return lambda cs: {(c == 2) == (x > 0) for c, x in zip(cs, clause)} >= wanted
