@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -507,7 +508,79 @@ class TestKernelizeGurfc:
             kernelize_gurfc(inst)
 
 
+def reference_product_pruning(inst):
+    """The restart loop that kernelize_product_pruning used before the single
+    pass: scan the pairs of the sorted collection from the first pair, drop
+    the all-max corner of the first full product, and start again.  Returns
+    the kept constraints."""
+    r = inst.relation.r
+    members = set(inst.constraints)
+    while True:
+        ordered = sorted(members)
+        found = None
+        for i, s in enumerate(ordered):
+            for t in ordered[i + 1 :]:
+                if any(s[j] == t[j] for j in range(r)):
+                    continue
+                domains = [(min(s[j], t[j]), max(s[j], t[j])) for j in range(r)]
+                if all(c in members for c in itertools.product(*domains)):
+                    found = domains
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return tuple(sorted(members))
+        members.remove(tuple(hi for _, hi in found))
+
+
+# (arity r, vertices n): n = 0..8 at r=3, fewer vertices at larger arity.
+PRUNING_SHAPES = [(3, n) for n in range(9)] + [(4, n) for n in range(5)] + [
+    (5, n) for n in range(4)
+]
+
+
+@functools.cache
+def _nur_of_arity(r):
+    return make_nur(1, r, 2)
+
+
 class TestKernelizeProductPruning:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from(PRUNING_SHAPES),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.8, 0.95, 1.0]),
+        duplicates=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_restart_loop(self, shape, density, duplicates, seed):
+        r, n = shape
+        rng = random.Random(seed)
+        pool = list(itertools.product(range(1, n + 1), repeat=r))
+        chosen = [t for t in pool if rng.random() < density]
+        chosen += rng.choices(chosen, k=duplicates) if chosen else []
+        rng.shuffle(chosen)
+        inst = RccInstance(Graph(n, ()), _nur_of_arity(r), tuple(chosen))
+        out = kernelize_product_pruning(inst)
+        assert out.constraints == reference_product_pruning(inst)
+        assert (out.graph, out.relation, out.nur_shape) == (
+            inst.graph,
+            inst.relation,
+            inst.nur_shape,
+        )
+
+    def test_large_ids_match_restart_loop(self):
+        # (n + 1) ** r overflows int64 here, so ids must be rank-compressed.
+        n, r = 50_000, 5
+        assert (n + 1) ** r >= 2**63
+        rng = random.Random(5)
+        pairs = [sorted(rng.sample(range(1, n + 1), 2)) for _ in range(r)]
+        chosen = list(itertools.product(*pairs))
+        chosen += [tuple(rng.randint(1, n) for _ in range(r)) for _ in range(8)]
+        inst = RccInstance(Graph(n, ()), _nur_of_arity(r), tuple(chosen))
+        out = kernelize_product_pruning(inst)
+        assert out.constraints == reference_product_pruning(inst)
+        assert len(out.constraints) < len(inst.constraints)
+
     def full_product_free(self, constraints, r):
         members = set(constraints)
         for x, y in itertools.combinations(sorted(members), 2):
