@@ -342,6 +342,49 @@ def _check_proper_on_modulator(inst: CliqueKvInstance, q: int, coloring):
             raise ValueError(f"coloring is not proper on edge ({u},{v})")
 
 
+def _modulator_neighbours(inst: CliqueKvInstance):
+    """Per residual clique, each vertex with the modulator positions of its
+    modulator neighbours."""
+    at = {v: i for i, v in enumerate(inst.modulator)}
+    return tuple(
+        tuple(
+            (v, tuple(at[u] for u in inst.graph.neighbors(v) if u in at))
+            for v in clique
+        )
+        for clique in inst.cliques
+    )
+
+
+def _augment(v, avail, owner, visited) -> bool:
+    for c in avail[v]:
+        if c in visited:
+            continue
+        visited.add(c)
+        if c not in owner or _augment(owner[c], avail, owner, visited):
+            owner[c] = v
+            return True
+    return False
+
+
+def _extend_cliques(cliques, q: int, colors) -> dict[int, int] | None:
+    """Color every residual clique given the modulator colors by position
+    (``cliques`` from _modulator_neighbours), or None if some clique cannot
+    be colored."""
+    result = {}
+    for clique in cliques:
+        avail = {}
+        for v, nbrs in clique:
+            taken = {colors[i] for i in nbrs}
+            avail[v] = [c for c in range(1, q + 1) if c not in taken]
+        owner: dict[int, int] = {}
+        for v, _ in clique:
+            if not _augment(v, avail, owner, set()):
+                return None
+        for c, v in owner.items():
+            result[v] = c
+    return result
+
+
 def extend_to_cliques(
     inst: CliqueKvInstance, q: int, coloring
 ) -> dict[int, int] | None:
@@ -353,34 +396,11 @@ def extend_to_cliques(
     """
     coloring = dict(coloring)
     _check_proper_on_modulator(inst, q, coloring)
-    xs = set(inst.modulator)
-    result = {v: coloring[v] for v in inst.modulator}
-    for clique in inst.cliques:
-        avail = {
-            v: sorted(
-                set(range(1, q + 1))
-                - {coloring[u] for u in inst.graph.neighbors(v) if u in xs}
-            )
-            for v in clique
-        }
-        color_owner: dict[int, int] = {}
-
-        def try_assign(v, visited) -> bool:
-            for c in avail[v]:
-                if c in visited:
-                    continue
-                visited.add(c)
-                if c not in color_owner or try_assign(color_owner[c], visited):
-                    color_owner[c] = v
-                    return True
-            return False
-
-        for v in clique:
-            if not try_assign(v, set()):
-                return None
-        for c, v in color_owner.items():
-            result[v] = c
-    return result
+    colors = [coloring[v] for v in inst.modulator]
+    extension = _extend_cliques(_modulator_neighbours(inst), q, colors)
+    if extension is None:
+        return None
+    return dict(zip(inst.modulator, colors)) | extension
 
 
 def cliquekv_colorable(
@@ -390,9 +410,10 @@ def cliquekv_colorable(
     modulator for one that extends across the residual cliques."""
     nodes = _node_budget("modulator enumeration", q, inst.k, budget)
     graph, _ = inst.graph.induced(inst.modulator)  # modulator[i] becomes i + 1
+    cliques = _modulator_neighbours(inst)
 
-    def extends(colors) -> bool:
-        return extend_to_cliques(inst, q, zip(inst.modulator, colors)) is not None
+    def extends(colors) -> bool:  # the search only offers proper colorings
+        return _extend_cliques(cliques, q, colors) is not None
 
     check = (tuple(range(1, graph.n + 1)), extends)
     lists = [frozenset(range(1, q + 1))] * (graph.n + 1)

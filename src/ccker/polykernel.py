@@ -666,15 +666,18 @@ def kernelize_gurfc(
 # ---------------------------------------------------------------------------
 
 
-def _find_full_product(members: set, tuples_sorted: list, r: int):
-    for i, s in enumerate(tuples_sorted):
-        for t in tuples_sorted[i + 1 :]:
-            if any(s[j] == t[j] for j in range(r)):
-                continue
-            domains = [(min(s[j], t[j]), max(s[j], t[j])) for j in range(r)]
-            if all(c in members for c in itertools.product(*domains)):
-                return domains
-    return None
+def _radix_weights(radices) -> np.ndarray:
+    """Place values of a mixed-radix int64 code whose digit j runs over
+    range(radices[j]), most significant digit first, so codes sort like
+    their digit tuples.  Raises ValueError if some code would not fit."""
+    if math.prod(radices) >= 2**63:
+        raise ValueError(
+            f"mixed-radix codes over radices {list(radices)} overflow int64"
+        )
+    weights = [1] * len(radices)
+    for j in range(len(radices) - 2, -1, -1):
+        weights[j] = weights[j + 1] * radices[j + 1]
+    return np.array(weights, dtype=np.int64)
 
 
 def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
@@ -684,16 +687,52 @@ def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
     constraint collection, the lexicographically last tuple of that product
     is dropped.  Sound whenever no OR relation of arity r is definable from
     the instance relation (the caller may verify via max_or_arity).
+
+    The rule is applied in one pass over the pairs (s, t), s before t in the
+    sorted collection, in that order: a full pair drops its all-max corner
+    and the scan goes on.  This drops exactly what restarting the scan from
+    the first pair after every drop would.  Drops only shrink the
+    collection, so every pair before the hit stays non-full.  The dropped
+    corner is lexicographically greater than s (their first entries differ
+    and it takes the larger), so no outer tuple already passed is dropped.
+
+    Each column is rank-compressed and each tuple gets a mixed-radix int64
+    code, which sorts like the tuple; a product's 2^r corners take their
+    j-th entry from s or t, so they are coded from the same ranks and
+    looked up in the sorted codes.
     """
     r = inst.relation.r
     if r < 3:
         raise ValueError(f"arity must be at least 3, got {r}")
-    members = set(inst.constraints)
-    while True:
-        found = _find_full_product(members, sorted(members), r)
-        if found is None:
-            break
-        members.remove(tuple(hi for _, hi in found))
-    return RccInstance(
-        inst.graph, inst.relation, tuple(sorted(members)), inst.nur_shape
-    )
+    rows = np.array(inst.constraints, dtype=np.int64).reshape(-1, r)
+    m = len(rows)
+    ranks = np.empty_like(rows)
+    radices = []
+    for j in range(r):
+        values, ranks[:, j] = np.unique(rows[:, j], return_inverse=True)
+        radices.append(len(values))
+    digits = ranks * _radix_weights(radices)
+    codes = digits.sum(axis=1)  # strictly increasing: constraints are sorted
+    alive = np.ones(m, dtype=bool)
+    for i in range(m):
+        if not alive[i]:
+            continue
+        later = i + 1 + np.flatnonzero(
+            alive[i + 1 :] & (ranks[i + 1 :] != ranks[i]).all(axis=1)
+        )
+        if not later.size:
+            continue
+        lo = np.minimum(digits[i], digits[later])
+        hi = np.maximum(digits[i], digits[later])
+        corners = np.zeros((later.size, 1), dtype=np.int64)
+        for j in range(r):  # column c sets bit r-1-j to take hi in column j
+            corners = np.concatenate(
+                (corners + lo[:, j, None], corners + hi[:, j, None]), axis=1
+            )
+        pos = np.minimum(np.searchsorted(codes, corners), m - 1)
+        full = ((codes[pos] == corners) & alive[pos]).all(axis=1)
+        for at in pos[full]:
+            if alive[at].all():  # an earlier drop for this s may hit a corner
+                alive[at[-1]] = False
+    kept = tuple(c for c, keep in zip(inst.constraints, alive.tolist()) if keep)
+    return RccInstance(inst.graph, inst.relation, kept, inst.nur_shape)

@@ -26,7 +26,7 @@ from ccker.polykernel import (
     smallest_prime_geq,
     vandermonde_set,
 )
-from ccker.polykernel import _check_exact, _ones_det
+from ccker.polykernel import _check_exact, _ones_det, _radix_weights
 from ccker.relations import make_nur
 
 
@@ -580,6 +580,20 @@ class TestKernelizeProductPruning:
         out = kernelize_product_pruning(inst)
         assert out.constraints == reference_product_pruning(inst)
         assert len(out.constraints) < len(inst.constraints)
+
+    def test_radix_guard(self):
+        # Radices are column value counts, so r=3 needs 2^21 constraints here.
+        assert _radix_weights([2**21 - 1] * 3).tolist() == [
+            (2**21 - 1) ** 2,
+            2**21 - 1,
+            1,
+        ]
+        with pytest.raises(ValueError, match="overflow int64"):
+            _radix_weights([2**21] * 3)
+        with pytest.raises(ValueError, match="overflow int64"):
+            _radix_weights([2, 2**62])
+        assert _radix_weights([2, 2**62 - 1]).tolist() == [2**62 - 1, 1]
+        assert _radix_weights([0, 7, 3]).tolist() == [21, 3, 1]
 
     def full_product_free(self, constraints, r):
         members = set(constraints)
