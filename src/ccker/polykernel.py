@@ -688,13 +688,20 @@ def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
     is dropped.  Sound whenever no OR relation of arity r is definable from
     the instance relation (the caller may verify via max_or_arity).
 
-    The rule is applied in one pass over the pairs (s, t), s before t in the
-    sorted collection, in that order: a full pair drops its all-max corner
-    and the scan goes on.  This drops exactly what restarting the scan from
-    the first pair after every drop would.  Drops only shrink the
-    collection, so every pair before the hit stays non-full.  The dropped
-    corner is lexicographically greater than s (their first entries differ
-    and it takes the larger), so no outer tuple already passed is dropped.
+    The rule is applied in one pass over the sorted collection, and it drops
+    exactly what restarting the scan of pairs (s, t), s before t, from the
+    first pair after every drop would:
+    - Drops only shrink the collection, so every pair before a hit stays
+      non-full.  The dropped tuple, the componentwise maximum of s and t, is
+      lexicographically greater than s, so no outer tuple already passed is
+      dropped.
+    - When the scan reaches s, a full pair (s, t) has s < t in every
+      coordinate.  Otherwise the componentwise minimum of s and t is an
+      earlier live tuple whose pair with the same maximum spans the same
+      product, and the scan there would have dropped that maximum.
+    So at s the scan drops every later live t > s whose product with s is
+    full.  The dropped corner is t itself, and it is no corner of another
+    such product with s, so these drops do not interact.
 
     Each column is rank-compressed and each tuple gets a mixed-radix int64
     code, which sorts like the tuple; a product's 2^r corners take their
@@ -717,22 +724,17 @@ def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
     for i in range(m):
         if not alive[i]:
             continue
-        later = i + 1 + np.flatnonzero(
-            alive[i + 1 :] & (ranks[i + 1 :] != ranks[i]).all(axis=1)
+        above = i + 1 + np.flatnonzero(
+            alive[i + 1 :] & (ranks[i + 1 :] > ranks[i]).all(axis=1)
         )
-        if not later.size:
+        if not above.size:
             continue
-        lo = np.minimum(digits[i], digits[later])
-        hi = np.maximum(digits[i], digits[later])
-        corners = np.zeros((later.size, 1), dtype=np.int64)
-        for j in range(r):  # column c sets bit r-1-j to take hi in column j
+        corners = np.zeros((above.size, 1), dtype=np.int64)
+        for j in range(r):
             corners = np.concatenate(
-                (corners + lo[:, j, None], corners + hi[:, j, None]), axis=1
+                (corners + digits[i, j], corners + digits[above, j, None]), axis=1
             )
         pos = np.minimum(np.searchsorted(codes, corners), m - 1)
-        full = ((codes[pos] == corners) & alive[pos]).all(axis=1)
-        for at in pos[full]:
-            if alive[at].all():  # an earlier drop for this s may hit a corner
-                alive[at[-1]] = False
+        alive[above[((codes[pos] == corners) & alive[pos]).all(axis=1)]] = False
     kept = tuple(c for c, keep in zip(inst.constraints, alive.tolist()) if keep)
     return RccInstance(inst.graph, inst.relation, kept, inst.nur_shape)
