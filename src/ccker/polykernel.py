@@ -715,9 +715,11 @@ def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
     m = len(rows)
     ranks = np.empty_like(rows)
     radices = []
-    for j in range(r):
-        values, ranks[:, j] = np.unique(rows[:, j], return_inverse=True)
-        radices.append(len(values))
+    for j in range(r):  # rank of each id among the ids in its column
+        present = np.zeros(inst.graph.n + 1, dtype=np.int64)
+        present[rows[:, j]] = 1
+        ranks[:, j] = (np.cumsum(present) - 1)[rows[:, j]]
+        radices.append(int(present.sum()))
     digits = ranks * _radix_weights(radices)
     codes = digits.sum(axis=1)  # strictly increasing: constraints are sorted
     alive = np.ones(m, dtype=bool)
