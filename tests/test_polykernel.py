@@ -415,6 +415,9 @@ class TestKernelizePoly:
         assert max(b - a for a, b in zip(marks, marks[1:])) > 64
 
 
+ETA0_SHAPES = [(1, 1, 1), (1, 2, 1), (1, 3, 1), (1, 1, 2), (1, 2, 2), (2, 1, 2)]
+
+
 class TestKernelizeUrfc:
     def test_dedup_shape_returns_input(self):
         inst = generate.gen_urfc(6, 1, 2, 3, 0.6, 0.3, 1)
@@ -438,10 +441,8 @@ class TestKernelizeUrfc:
         twice = kernelize_urfc(once.instance)
         assert twice.instance.tuples == once.instance.tuples
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_eta0_merge_shape(self, seed):
-        # (2, 1, 2): forbidden rainbow pairs force vertex merges
-        inst = generate.gen_urfc(5, 2, 1, 2, 0.5, 0.3, seed)
+    @staticmethod
+    def check_eta0(inst):
         result = kernelize_urfc(inst)
         assert result.report.method == "solved"
         assert result.report.answer == solve_urfc(inst).is_yes
@@ -449,11 +450,39 @@ class TestKernelizeUrfc:
         assert result.instance.graph.n <= 3
 
     @pytest.mark.parametrize("seed", range(6))
+    def test_eta0_merge_shape(self, seed):
+        # (2, 1, 2): forbidden rainbow pairs force vertex merges
+        self.check_eta0(generate.gen_urfc(5, 2, 1, 2, 0.5, 0.3, seed))
+
+    @pytest.mark.parametrize("seed", range(6))
     def test_eta0_edge_shape(self, seed):
         # (1, 2, 2): constraints become edges, then a 2-coloring test
-        inst = generate.gen_urfc(5, 1, 2, 2, 0.5, 0.3, seed)
-        result = kernelize_urfc(inst)
-        assert result.report.answer == solve_urfc(inst).is_yes
+        self.check_eta0(generate.gen_urfc(5, 1, 2, 2, 0.5, 0.3, seed))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_eta0_every_shape(self, data):
+        # every shape decided outright, with tuples that repeat a set
+        d, l, q = data.draw(st.sampled_from(ETA0_SHAPES), label="shape")
+        n = data.draw(st.integers(0, 7), label="n")
+        density = data.draw(st.sampled_from((0.0, 0.2, 0.6)), label="edges")
+        graph = generate.gen_graph(n, density, data.draw(st.integers(0, 2**16)))
+        tuples = []
+        if n >= d:
+            vertex_set = st.lists(
+                st.integers(1, n), min_size=d, max_size=d, unique=True
+            )
+            tuples = data.draw(
+                st.lists(
+                    st.one_of(
+                        st.lists(vertex_set, min_size=l, max_size=l),
+                        vertex_set.map(lambda s: [s] * l),
+                    ),
+                    max_size=8,
+                ),
+                label="tuples",
+            )
+        self.check_eta0(UrfcInstance(graph, q, d, l, tuples))
 
     def test_eta0_single_set_shape(self):
         yes = UrfcInstance(Graph(2, ((1, 2),)), 2, 1, 1, ())
