@@ -23,8 +23,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import secrets
 import sys
-import tempfile
 from typing import Callable, NamedTuple
 
 from . import generate, oracles, polykernel, reductions
@@ -61,8 +61,10 @@ def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    # a new file's mode under the umask, which mkstemp's 0600 would not give
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ccker-")
+    tmp = os.path.join(directory, f".ccker-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

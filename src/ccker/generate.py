@@ -112,7 +112,6 @@ def gen_rclc(
     density: float = 0.3,
     edge_density: float = 0.2,
     seed: int = 0,
-    min_list: int = 1,
     nur_shape: UrfcShape | None = None,
 ) -> RclcInstance:
     rng = random.Random(seed)
@@ -121,7 +120,7 @@ def gen_rclc(
     pool = list(itertools.product(range(1, n + 1), repeat=relation.r))
     constraints = _sample(rng, pool, density)
     lists = tuple(
-        frozenset(rng.sample(range(1, q + 1), rng.randint(min(min_list, q), q)))
+        frozenset(rng.sample(range(1, q + 1), rng.randint(1, q)))
         for _ in range(n)
     )
     return RclcInstance(

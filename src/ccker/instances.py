@@ -244,10 +244,6 @@ class UrfcInstance:
         )
 
     @property
-    def shape(self) -> UrfcShape:
-        return UrfcShape(self.d, self.l, self.q)
-
-    @property
     def constraint_count(self) -> int:
         return self.graph.m + len(self.tuples)
 

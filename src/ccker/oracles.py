@@ -17,6 +17,7 @@ in the CNF and clique-modulator oracles, which charge q^n in both modes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -63,7 +64,9 @@ class SolutionSet:
         return iter(self.colorings)
 
     def __contains__(self, coloring) -> bool:
-        return tuple(coloring) in set(self.colorings)
+        coloring = tuple(coloring)
+        i = bisect.bisect_left(self.colorings, coloring)
+        return i < len(self.colorings) and self.colorings[i] == coloring
 
 
 # ---------------------------------------------------------------------------
@@ -220,24 +223,16 @@ _CHUNK_ROWS = 1 << 13
 _TUPLE_BATCH = 512
 
 
-def _uniformly_rainbow_mask(block_colors: np.ndarray, d: int, l: int) -> np.ndarray:
+def _uniformly_rainbow_mask(block_colors: np.ndarray) -> np.ndarray:
     """Rows x tuples boolean mask of uniformly rainbow evaluations.
 
     ``block_colors`` has shape (rows, tuples, l, d): the colors of each
     tuple's sets under each coloring.
     """
-    if d == 1:
-        return (block_colors == block_colors[:, :, :1, :]).all(axis=(2, 3))
-    if d == 2:
-        a, b = block_colors[:, :, :, 0], block_colors[:, :, :, 1]
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        rainbow = (lo != hi).all(axis=2)
-        same = (lo == lo[:, :, :1]).all(axis=2) & (hi == hi[:, :, :1]).all(axis=2)
-        return rainbow & same
     srt = np.sort(block_colors, axis=3)
-    rainbow = (srt[:, :, :, 1:] != srt[:, :, :, :-1]).all(axis=3)
+    rainbow = (srt[:, :, :, 1:] != srt[:, :, :, :-1]).all(axis=(2, 3))
     same = (srt == srt[:, :, :1, :]).all(axis=(2, 3))
-    return rainbow.all(axis=2) & same
+    return rainbow & same
 
 
 def solve_urfc(
@@ -282,7 +277,7 @@ def solve_urfc(
                     batch = idx[t : t + _TUPLE_BATCH]
                     cols = front[r : r + _CHUNK_ROWS, batch.reshape(-1)]
                     cols = cols.reshape(-1, len(batch), l, d)
-                    mask = _uniformly_rainbow_mask(cols, d, l)
+                    mask = _uniformly_rainbow_mask(cols)
                     ok[r : r + _CHUNK_ROWS] &= ~mask.any(axis=1)
             front = front[ok]
         if not len(front):

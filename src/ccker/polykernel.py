@@ -33,6 +33,7 @@ import numpy as np
 
 from .budget import DEFAULT_TUPLE_BUDGET, charge, resolve_budget
 from .instances import Graph, GurfcBlock, GurfcInstance, RccInstance, UrfcInstance
+from .oracles import _uniformly_rainbow_mask
 from .relations import UrfcShape, eta
 
 __all__ = [
@@ -238,13 +239,11 @@ def build_capture(
     return CapturePair(field, m, d, l, q, colors, poly, item, bound)
 
 
-def _color_index_chunks(columns: int, q: int, chunk_rows: int = 1 << 14):
-    total = q**columns
-    weights = np.array(
-        [q ** (columns - 1 - i) for i in range(columns)], dtype=np.int64
-    )
-    for start in range(0, total, chunk_rows):
-        codes = np.arange(start, min(start + chunk_rows, total), dtype=np.int64)
+def _color_index_chunks(columns: int, q: int):
+    total, step = q**columns, 1 << 14
+    weights = _radix_weights([q] * columns)
+    for start in range(0, total, step):
+        codes = np.arange(start, min(start + step, total), dtype=np.int64)
         yield (codes[:, None] // weights[None, :]) % q
 
 
@@ -269,12 +268,7 @@ def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
                 term = term * colors[assign[:, col], row] % p
             acc += term
         nonzero = (acc % p) != 0
-
-        blocks = assign.reshape(rows, l, d)
-        srt = np.sort(blocks, axis=2)
-        rainbow = (srt[:, :, 1:] != srt[:, :, :-1]).all(axis=2)
-        same = (srt == srt[:, :1, :]).all(axis=(1, 2))
-        expected = rainbow.all(axis=1) & same
+        expected = _uniformly_rainbow_mask(assign.reshape(rows, 1, l, d))[:, 0]
         if not np.array_equal(nonzero, expected):
             return False
     return True
@@ -523,65 +517,45 @@ class GurfcKernelResult:
     reports: tuple[KernelReport, ...]
 
 
-def _bipartite(graph: Graph) -> bool:
-    color = [0] * (graph.n + 1)
-    for start in range(1, graph.n + 1):
-        if color[start]:
-            continue
-        color[start] = 1
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in graph.neighbors(v):
-                if not color[u]:
-                    color[u] = 3 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return False
-    return True
-
-
 def _solve_eta0(inst: UrfcInstance) -> bool:
-    """Polynomial-time decision for the shapes with kernel exponent 0."""
-    q, d, l = inst.q, inst.d, inst.l
-    graph = inst.graph
-    if q == 1:
-        # any constraint tuple is uniformly rainbow under the only coloring
-        return graph.m == 0 and not inst.tuples
-    if (d, l) == (1, 1):
-        return not inst.tuples and _bipartite(graph)
-    if (d, l) == (1, 2):
-        edges = set(graph.edges)
-        for (x,), (y,) in inst.tuples:
-            if x == y:
-                return False
-            edges.add((min(x, y), max(x, y)))
-        return _bipartite(Graph(graph.n, tuple(edges)))
-    if (d, l) == (2, 1):
-        # a forbidden rainbow pair forces equal colors: merge the vertices
-        parent = list(range(graph.n + 1))
+    """Polynomial-time decision for the shapes with kernel exponent 0.
 
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
+    Under q = 1 every edge is monochromatic, and under q = 1 or d = l = 1
+    every tuple is uniformly rainbow.  Otherwise q = 2, and each constraint
+    says whether two vertices share a color: an edge or a (1, 2) tuple {x},
+    {y} that they differ, a (2, 1) tuple {x, y} that they agree.  They all
+    hold at once unless a union-find (by size) that stores, per vertex,
+    whether its color differs from its parent's meets a contradiction.
+    """
+    graph, tuples = inst.graph, inst.tuples
+    if tuples and (inst.q == 1 or inst.d * inst.l == 1):
+        return False
+    if inst.q == 1:
+        return not graph.m
+    pairs = [(u, v, 1) for u, v in graph.edges]
+    pairs += [(tp[0][0], tp[-1][-1], int(inst.d == 1)) for tp in tuples]
+    parent = list(range(graph.n + 1))
+    size = [1] * (graph.n + 1)
+    flip = [0] * (graph.n + 1)  # the color differs from the parent's
 
-        for ((x, y),) in inst.tuples:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-        reps = sorted({find(v) for v in range(1, graph.n + 1)})
-        index = {r: i + 1 for i, r in enumerate(reps)}
-        quotient = set()
-        for u, v in graph.edges:
-            ru, rv = find(u), find(v)
-            if ru == rv:
+    def find(v):
+        odd = 0
+        while parent[v] != v:
+            odd ^= flip[v]
+            v = parent[v]
+        return v, odd
+
+    for u, v, differ in pairs:
+        (ru, pu), (rv, pv) = find(u), find(v)
+        if ru == rv:
+            if pu ^ pv != differ:
                 return False
-            a, b = index[ru], index[rv]
-            quotient.add((min(a, b), max(a, b)))
-        return _bipartite(Graph(len(reps), tuple(sorted(quotient))))
-    raise AssertionError(f"unexpected eta-0 shape d={d} l={l} q={q}")
+            continue
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        parent[rv], flip[rv] = ru, pu ^ pv ^ differ
+        size[ru] += size[rv]
+    return True
 
 
 def _const_instance(answer: bool, d: int, l: int, q: int) -> UrfcInstance:

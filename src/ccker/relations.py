@@ -112,10 +112,6 @@ class UrfcShape:
     def arity(self) -> int:
         return self.d * self.l
 
-    @property
-    def eta(self) -> int:
-        return eta(self.d, self.l, self.q)
-
 
 def make_nur(d: int, l: int, q: int, budget: int | None = None) -> Relation:
     """The arity-d*l relation over [q] of all non-uniformly-rainbow matrices."""
@@ -279,21 +275,21 @@ def max_or_arity(rel: Relation, budget: int | None = None) -> int:
     return 0
 
 
-def _flat(i: int, j: int, d: int) -> int:
-    return (j - 1) * d + i
-
-
 def nur_or_witness(d: int, l: int, q: int, item: int) -> OrWitness:
     """The explicit OR witness for NUR(d, l, q), one of three constructions.
 
-    alpha is the matrix with entry i in row i.  Item 1 (needs l >= 2,
-    q >= d+2): beta is d+1 in column 1 and d+2 elsewhere, arity d*l.  Item 2
-    (needs q >= d+1): all positions but (1,1), beta is d+1 on row 1 and 1
-    below, arity d*l - 1.  Item 3 (needs q >= d): all positions off row 1,
-    beta is 1, arity (d-1)*l.  The returned witness is validated against the
+    alpha is the matrix with entry i in row i.  Item 1: beta is d+1 in
+    column 1 and d+2 elsewhere, arity d*l.  Item 2: all positions but (1,1),
+    beta is d+1 on row 1 and 1 below, arity d*l - 1.  Item 3: all positions
+    off row 1, beta is 1, arity (d-1)*l.  ``nur_witness_items`` says which
+    items apply to the shape.  The returned witness is validated against the
     NUR membership predicate before being returned.
     """
-    UrfcShape(d, l, q)
+    items = nur_witness_items(d, l, q)
+    if item not in items:
+        raise ValueError(
+            f"item {item} does not apply to nur({d},{l},{q}); items: {items}"
+        )
     r = d * l
     alpha = tuple(((p - 1) % d) + 1 for p in range(1, r + 1))
 
@@ -301,22 +297,14 @@ def nur_or_witness(d: int, l: int, q: int, item: int) -> OrWitness:
         return ((p - 1) % d) + 1, ((p - 1) // d) + 1
 
     if item == 1:
-        if not (l >= 2 and q >= d + 2):
-            raise ValueError("item 1 requires l >= 2 and q >= d + 2")
         positions = tuple(range(1, r + 1))
         beta = tuple(d + 1 if rowcol(p)[1] == 1 else d + 2 for p in positions)
     elif item == 2:
-        if not q >= d + 1:
-            raise ValueError("item 2 requires q >= d + 1")
         positions = tuple(p for p in range(1, r + 1) if rowcol(p) != (1, 1))
         beta = tuple(d + 1 if rowcol(p)[0] == 1 else 1 for p in positions)
-    elif item == 3:
-        if not q >= d:
-            raise ValueError("item 3 requires q >= d")
+    else:
         positions = tuple(p for p in range(1, r + 1) if rowcol(p)[0] >= 2)
         beta = tuple(1 for _ in positions)
-    else:
-        raise ValueError(f"item must be 1, 2 or 3, got {item}")
 
     witness = OrWitness(len(positions), positions, alpha, beta)
     if not witness.check_membership(nur_membership(d, l)):

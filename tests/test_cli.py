@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import os
 import shlex
 
 import pytest
@@ -30,6 +31,19 @@ class TestGen:
         main(base + ["--seed", "1", "-o", str(a)])
         main(base + ["--seed", "2", "-o", str(b)])
         assert a.read_bytes() != b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+    )
+    def test_output_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "g.txt"
+        old = os.umask(umask)
+        try:
+            assert main(["gen", "--problem", "graph", "--n", "4", "-o", str(path)]) == 0
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == mode
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
 
     def test_missing_flag_is_usage_error(self, tmp_path, capsys):
         code, _ = run(capsys, "gen", "--problem", "urfc", "--d", "2")

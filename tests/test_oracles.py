@@ -122,7 +122,11 @@ class TestSolveUrfc:
 
     def test_constant_coloring_survives(self):
         inst = UrfcInstance(Graph(4, ()), 3, 2, 1, (((1, 2),), ((3, 4),)))
-        assert (1, 1, 1, 1) in solve_urfc(inst)
+        sols = solve_urfc(inst)
+        assert (1, 1, 1, 1) in sols
+        assert [2, 2, 3, 3] in sols
+        assert (1, 2, 1, 1) not in sols  # {1, 2} is rainbow
+        assert [3, 3, 2, 1] not in sols
 
     def test_members_satisfy_direct_predicate(self):
         rng = random.Random(5)
