@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import secrets
 import sys
 from typing import Callable, NamedTuple
 
@@ -63,7 +62,7 @@ def _write_atomic(path: str | None, text: str) -> None:
         return
     # a new file's mode under the umask, which mkstemp's 0600 would not give
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".ccker-{secrets.token_hex(8)}")
+    tmp = os.path.join(directory, f".ccker-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -227,12 +227,16 @@ def _uniformly_rainbow_mask(block_colors: np.ndarray) -> np.ndarray:
     """Rows x tuples boolean mask of uniformly rainbow evaluations.
 
     ``block_colors`` has shape (rows, tuples, l, d): the colors of each
-    tuple's sets under each coloring.
+    tuple's sets under each coloring.  It is sorted in place along d.  A
+    tuple is uniformly rainbow when its first set is rainbow and every other
+    set shows the same colors.
     """
-    srt = np.sort(block_colors, axis=3)
-    rainbow = (srt[:, :, :, 1:] != srt[:, :, :, :-1]).all(axis=(2, 3))
-    same = (srt == srt[:, :, :1, :]).all(axis=(2, 3))
-    return rainbow & same
+    block_colors.sort(axis=3)
+    first = block_colors[:, :, 0]
+    mask = (first[:, :, 1:] != first[:, :, :-1]).all(axis=2)
+    for j in range(1, block_colors.shape[2]):
+        mask &= (block_colors[:, :, j] == first).all(axis=2)
+    return mask
 
 
 def solve_urfc(

@@ -456,7 +456,7 @@ class TestKernelizeUrfc:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_eta0_edge_shape(self, seed):
-        # (1, 2, 2): constraints become edges, then a 2-coloring test
+        # (1, 2, 2): each tuple {x}, {y} forces x and y apart, like an edge
         self.check_eta0(generate.gen_urfc(5, 1, 2, 2, 0.5, 0.3, seed))
 
     @given(st.data())
