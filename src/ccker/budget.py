@@ -43,3 +43,13 @@ def resolve_budget(budget: int | None, default: int) -> int:
 def charge(what: str, size: int, budget: int) -> None:
     if size > budget:
         raise BudgetExceededError(what, size, budget)
+
+
+def charge_grid(what: str, q: int, r: int, budget: int) -> None:
+    """Charge the q^r points of the grid [q]^r, or r if that is more, since
+    each point has r digits, before anything of that size is built.  A file
+    header sets q and r, so a power of more than 4096 bits that must exceed
+    the budget is reported as q^r rather than computed."""
+    if q >= 2 and r * (q.bit_length() - 1) > max(4096, budget.bit_length()):
+        raise BudgetExceededError(what, f"{q}^{r}", budget)
+    charge(what, max(q**r, r), budget)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import stat
 import sys
 from typing import Callable, NamedTuple
 
@@ -60,12 +61,19 @@ def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    # a new file's mode under the umask, which mkstemp's 0600 would not give
+    # an existing file keeps its mode; a new file gets a new file's mode under
+    # the umask, which mkstemp's 0600 would not give
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".ccker-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -74,11 +82,12 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _load_relation(source: str):
-    """Relation from a file path, or inline text starting 'nur ' or 'relation '."""
+def _load_relation(source: str, budget: int | None):
+    """Relation from a file path, or inline text starting 'nur ' or 'relation ',
+    built within the tuple budget ``budget``."""
     if not os.path.exists(source) and source.startswith(("nur ", "relation ")):
-        return parse_relation(source)
-    return parse_relation(_read(source))
+        return parse_relation(source, budget)
+    return parse_relation(_read(source), budget)
 
 
 def _relation_loader_for(path: str):
@@ -116,7 +125,7 @@ def _parse_blocks(args) -> list[tuple[int, int]]:
 
 
 def _gen_over_relation(args, gen):
-    relation, shape = _load_relation(_require(args.relation, "--relation"))
+    relation, shape = _load_relation(_require(args.relation, "--relation"), args.budget)
     n = _require(args.n, "--n")
     return gen(n, relation, args.density, args.edge_density, args.seed, nur_shape=shape)
 
@@ -233,7 +242,7 @@ def _kind(problem: str | None, job: str, action: str) -> Kind:
 
 
 def _sat_to_rclc(formula, args):
-    relation, _ = _load_relation(_require(args.relation, "--relation"))
+    relation, _ = _load_relation(_require(args.relation, "--relation"), args.budget)
     width = formula.width
     if width is None:
         raise ValueError("formula must have uniform clause width")
@@ -274,10 +283,10 @@ TRANSFORMS = {
 
 
 def cmd_analyze(args) -> int:
-    relation, shape = _load_relation(args.inputs[0])
+    relation, shape = _load_relation(args.inputs[0], args.budget)
     print(f"q={relation.q}")
     print(f"r={relation.r}")
-    print(f"tuples={len(relation.tuples)}")
+    print(f"tuples={len(relation)}")
     invariant = is_permutation_invariant(relation)
     print(f"permutation_invariant={'yes' if invariant else 'no'}")
     k = max_or_arity(relation, budget=args.budget)

@@ -14,10 +14,13 @@ ValueError becomes a ParseError at the line of the record in flight.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, field
 
-from .budget import DEFAULT_TUPLE_BUDGET, charge, resolve_budget
+import numpy as np
+
+from .budget import DEFAULT_TUPLE_BUDGET, charge, charge_grid, resolve_budget
 from .relations import Relation, UrfcShape, make_nur
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "Hypergraph",
     "CnfFormula",
     "canonicalize_urfc_tuple",
+    "canonical_subset",
     "validate_clique_kv",
     "parse",
     "serialize",
@@ -291,6 +295,20 @@ class GurfcInstance:
     @property
     def constraint_count(self) -> int:
         return self.graph.m + sum(len(b.tuples) for b in self.blocks)
+
+
+def canonical_subset(inst, **collections):
+    """``inst`` with each named collection replaced by a subsequence of it.
+
+    A subsequence of a canonical collection (sorted, deduplicated, every
+    record checked) is canonical, so the constructor is not run again.  The
+    caller guarantees that each value is such a subsequence, for example the
+    tuples a kernel keeps, in their input order.
+    """
+    out = copy.copy(inst)
+    for name, records in collections.items():
+        object.__setattr__(out, name, tuple(records))
+    return out
 
 
 def validate_clique_kv(graph: Graph, modulator) -> tuple[tuple[int, ...], ...]:
@@ -558,18 +576,83 @@ def _read_nur(reader: _Reader, line: str, lineno: int) -> UrfcShape:
     return reader.build(UrfcShape, head["d"], head["l"], head["q"])
 
 
-def parse_relation(text: str) -> tuple[Relation, UrfcShape | None]:
-    """Parse a relation file: explicit listing or single-line nur shorthand."""
+# Tuple lines per chunk of a relation's array parse.
+_TUPLE_LINES = 1 << 12
+
+
+def _int_rows(lines: list[str], q: int, r: int) -> np.ndarray | None:
+    """Lines of r decimal integers in 1..q separated by single spaces, as a
+    (lines, r) array of the smallest dtype that holds q; None for lines of
+    any other form."""
+    buf = np.frombuffer("\n".join(lines).encode(), dtype=np.uint8)
+    seps = np.flatnonzero((buf == 32) | (buf == 10))
+    starts = np.concatenate(([0], seps + 1))
+    lengths = np.append(seps, len(buf)) - starts
+    if (
+        len(starts) != len(lines) * r
+        or not 0 < lengths.min() <= lengths.max() <= 18
+        or len(seps) + ((buf >= 48) & (buf <= 57)).sum() != len(buf)
+        # a newline after every r-th number, and only there
+        or not np.array_equal(buf[seps] == 10, np.arange(1, len(starts)) % r == 0)
+    ):
+        return None
+    values = np.zeros(len(starts), dtype=np.int64)
+    for i in range(lengths.max()):
+        more = lengths > i
+        values[more] = values[more] * 10 + (buf[starts[more] + i] - 48)
+    if values.min() < 1 or values.max() > q:
+        return None
+    return values.astype(np.min_scalar_type(q)).reshape(-1, r)
+
+
+def _read_relation(reader: _Reader, q: int, r: int, count, budget) -> Relation:
+    """The next ``count`` lines, or all that remain if ``count`` is None, as
+    the tuples of a relation over [q]^r.
+
+    The header's q^r table entries are charged against the tuple budget
+    first.  The lines are then read as arrays, a chunk of lines at a time,
+    and checked at once; if any of them is not r integers in 1..q separated
+    by single spaces, they are read again line by line, so that the error
+    names the first bad line.
+    """
+    budget = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
+    charge_grid("relation header table", q, r, budget)
+    first = reader.pos
+    end = len(reader.rows) if count is None else first + count
+    if first < end <= len(reader.rows) and q >= 1 and r >= 1:
+        chunks = []
+        for start in range(first, end, _TUPLE_LINES):
+            rows = reader.rows[start : min(start + _TUPLE_LINES, end)]
+            chunks.append(_int_rows([line for _, line in rows], q, r))
+            if chunks[-1] is None:
+                break
+        else:
+            reader.pos, reader.line = end, reader.rows[end - 1][0]
+            return Relation.from_rows(q, r, np.concatenate(chunks))
+    if count is None:
+        tuples = reader.rest("relation tuple")
+    else:
+        tuples = (reader.ints("relation tuple") for _ in range(count))
+    return reader.build(Relation, q, r, tuples)
+
+
+def parse_relation(
+    text: str, budget: int | None = None
+) -> tuple[Relation, UrfcShape | None]:
+    """Parse a relation file: explicit listing or single-line nur shorthand.
+
+    ``budget`` is the tuple budget of the relation's table (explicit, else
+    ``CCKER_BUDGET``, else DEFAULT_TUPLE_BUDGET).
+    """
     reader = _Reader(text)
     lineno, line = reader.next("relation header")
     if line.split()[0] == "nur":
         shape = _read_nur(reader, line, lineno)
         if not reader.at_end():
             raise ParseError("nur shorthand must be the only content", reader.peek()[0])
-        return make_nur(shape.d, shape.l, shape.q), shape
+        return make_nur(shape.d, shape.l, shape.q, budget), shape
     head = _kv_line(line, lineno, "relation", ("q", "r"))
-    tuples = reader.rest("relation tuple")
-    return reader.build(Relation, head["q"], head["r"], tuples), None
+    return _read_relation(reader, head["q"], head["r"], None, budget), None
 
 
 def _read_relation_block(
@@ -590,8 +673,7 @@ def _read_relation_block(
             raise ParseError("relation file references are not available here", lineno)
         return relation_loader(body[0][len("file=") :])
     head = _kv_line(line, lineno, "rel", ("q", "r", "count"))
-    tuples = (reader.ints("relation tuple") for _ in range(head["count"]))
-    return reader.build(Relation, head["q"], head["r"], tuples), None
+    return _read_relation(reader, head["q"], head["r"], head["count"], None), None
 
 
 def parse_rcc(text: str, relation_loader=None) -> RccInstance:
@@ -785,12 +867,31 @@ def _graph_lines(graph: Graph) -> list[str]:
     return lines
 
 
+def _tuple_lines(relation: Relation) -> list[str]:
+    """The member lines, in order, joined into one string; no string for an
+    empty relation.  They are written from the table's digit rows at once:
+    each value's decimal digits right-aligned in a fixed width, with NUL
+    bytes padding, then a space or a newline; dropping the NULs leaves the
+    text."""
+    rows = relation.rows()
+    if not len(rows):
+        return []
+    width = len(str(relation.q))
+    cells = np.zeros(rows.shape + (width + 1,), dtype=np.uint8)
+    for k in range(width):
+        place = 10 ** (width - 1 - k)
+        cells[:, :, k] = np.where(rows >= place, rows // place % 10 + 48, 0)
+    cells[:, :, width] = ord(" ")
+    cells[:, -1, width] = ord("\n")
+    cells[-1, -1, width] = 0  # serialize ends the last line
+    return [cells[cells != 0].tobytes().decode()]
+
+
 def _relation_lines(relation: Relation, shape: UrfcShape | None) -> list[str]:
     if shape is not None:
         return [f"rel nur d={shape.d} l={shape.l} q={shape.q}"]
-    lines = [f"rel q={relation.q} r={relation.r} count={len(relation.tuples)}"]
-    lines.extend(" ".join(map(str, t)) for t in relation.tuples)
-    return lines
+    lines = [f"rel q={relation.q} r={relation.r} count={len(relation)}"]
+    return lines + _tuple_lines(relation)
 
 
 def _block_lines(d: int, l: int, tuples) -> list[str]:
@@ -805,8 +906,7 @@ def serialize(obj) -> str:
     if isinstance(obj, Graph):
         lines = _graph_lines(obj)
     elif isinstance(obj, Relation):
-        lines = [f"relation q={obj.q} r={obj.r}"]
-        lines.extend(" ".join(map(str, t)) for t in obj.tuples)
+        lines = [f"relation q={obj.q} r={obj.r}"] + _tuple_lines(obj)
     elif isinstance(obj, RclcInstance):
         lines = _graph_lines(obj.graph)
         lines.extend(_relation_lines(obj.relation, obj.nur_shape))

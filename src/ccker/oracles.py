@@ -7,8 +7,11 @@ modulators (a check that the coloring extends across the cliques).  Its
 vertex schedule is a fixed, instance-determined maximum-cardinality order so
 that gadget-heavy instances refute in reasonable time.  Rainbow-free
 coloring extends partial colorings vertex by vertex in numpy, dropping each
-at its first violated edge or tuple, directly on the set semantics, which
-deliberately shares nothing with the relation encoding it cross-checks.
+at its first violated edge or tuple, directly on the set semantics.  Its
+uniformly-rainbow test is the one ``make_nur`` builds the NUR tables with,
+so comparing it with the relational oracles on NUR encodings checks the
+search engines, not that test; the tests check the test itself against the
+scalar ``is_uniformly_rainbow``.
 
 Budgets are hard errors.  Full enumeration charges q^n against the budget;
 decision mode (``limit`` set) instead charges explored search nodes, except
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ from .instances import (
     RclcInstance,
     UrfcInstance,
 )
+from .relations import _radix_weights, _uniformly_rainbow_mask
 
 __all__ = [
     "SolutionSet",
@@ -175,9 +180,17 @@ def _node_budget(what: str, q: int, n: int, budget, up_front: bool = True):
 
 
 def _solve_relational(inst, lists, limit, budget) -> SolutionSet:
-    n, q = inst.graph.n, inst.relation.q
+    rel = inst.relation
+    n, q = inst.graph.n, rel.q
     nodes = _node_budget("coloring enumeration", q, n, budget, limit is None)
-    checks = [(t, inst.relation._members.__contains__) for t in inst.constraints]
+    # colors are in 1..q, so a tuple's code is its weighted sum minus this
+    weights = _radix_weights([q] * rel.r).tolist()
+    offset, table = sum(weights), rel.table.tobytes()
+
+    def member(colors) -> int:
+        return table[sum(map(operator.mul, colors, weights)) - offset]
+
+    checks = [(t, member) for t in inst.constraints]
     sols = _dfs_colorings(n, lists, inst.graph._adj, checks, limit, nodes)
     return SolutionSet(q, tuple(sols))
 
@@ -223,30 +236,13 @@ _CHUNK_ROWS = 1 << 13
 _TUPLE_BATCH = 512
 
 
-def _uniformly_rainbow_mask(block_colors: np.ndarray) -> np.ndarray:
-    """Rows x tuples boolean mask of uniformly rainbow evaluations.
-
-    ``block_colors`` has shape (rows, tuples, l, d): the colors of each
-    tuple's sets under each coloring.  It is sorted in place along d.  A
-    tuple is uniformly rainbow when its first set is rainbow and every other
-    set shows the same colors.
-    """
-    block_colors.sort(axis=3)
-    first = block_colors[:, :, 0]
-    mask = (first[:, :, 1:] != first[:, :, :-1]).all(axis=2)
-    for j in range(1, block_colors.shape[2]):
-        mask &= (block_colors[:, :, j] == first).all(axis=2)
-    return mask
-
-
 def solve_urfc(
     inst: UrfcInstance | GurfcInstance, budget: int | None = None
 ) -> SolutionSet:
     """All proper colorings with no uniformly rainbow constraint tuple.
 
-    Implemented directly on the set semantics, so it is an independent
-    cross-check of the NUR relation encoding.  Step k extends the surviving
-    colorings of vertices 1..k-1 by each color of k, in color order so the
+    Implemented directly on the set semantics, not on a relation.  Step k
+    extends the surviving colorings of vertices 1..k-1 by each color of k, in color order so the
     rows stay sorted, and drops those with a monochromatic edge back from k
     or a uniformly rainbow tuple whose largest vertex is k.
     """

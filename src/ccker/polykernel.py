@@ -32,9 +32,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import DEFAULT_TUPLE_BUDGET, charge, resolve_budget
-from .instances import Graph, GurfcBlock, GurfcInstance, RccInstance, UrfcInstance
-from .oracles import _uniformly_rainbow_mask
-from .relations import UrfcShape, eta
+from .instances import (
+    Graph,
+    GurfcBlock,
+    GurfcInstance,
+    RccInstance,
+    UrfcInstance,
+    canonical_subset,
+)
+from .relations import (
+    UrfcShape,
+    _grid_chunks,
+    _radix_weights,
+    _uniformly_rainbow_mask,
+    eta,
+)
 
 __all__ = [
     "PrimeField",
@@ -239,14 +251,6 @@ def build_capture(
     return CapturePair(field, m, d, l, q, colors, poly, item, bound)
 
 
-def _color_index_chunks(columns: int, q: int):
-    total, step = q**columns, 1 << 14
-    weights = _radix_weights([q] * columns)
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.int64)
-        yield (codes[:, None] // weights[None, :]) % q
-
-
 def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
     """Exhaustively verify the capture property over all q^(d*l) C-colored
     matrices of the pair's shape: the polynomial is nonzero exactly on the
@@ -258,7 +262,7 @@ def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
     p = cp.field.p
     colors = np.array(cp.colors, dtype=np.int64) % p
     terms = list(cp.poly.terms.items())
-    for assign in _color_index_chunks(d * l, q):
+    for _, assign in _grid_chunks(q, d * l):
         rows = assign.shape[0]
         acc = np.zeros(rows, dtype=np.int64)
         for mono, coeff in terms:
@@ -454,14 +458,13 @@ def kernelize_poly(
             f"({inst.d},{inst.l},{inst.q})"
         )
     if not inst.tuples or not cp.poly.terms:  # every row is zero
-        return UrfcInstance(inst.graph, inst.q, inst.d, inst.l, ())
+        return canonical_subset(inst, tuples=())
     slots, coeffs = _capture_slots(cp)
     ids, count = _monomial_ids(inst, cp.m, slots)
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
     charge("polynomial kernel matrix", len(inst.tuples) * count, b)
     kept = _row_rank_profile(ids, coeffs, count, cp.field.p)
-    tuples = tuple(inst.tuples[r] for r in kept)
-    return UrfcInstance(inst.graph, inst.q, inst.d, inst.l, tuples)
+    return canonical_subset(inst, tuples=(inst.tuples[r] for r in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -640,20 +643,6 @@ def kernelize_gurfc(
 # ---------------------------------------------------------------------------
 
 
-def _radix_weights(radices) -> np.ndarray:
-    """Place values of a mixed-radix int64 code whose digit j runs over
-    range(radices[j]), most significant digit first, so codes sort like
-    their digit tuples.  Raises ValueError if some code would not fit."""
-    if math.prod(radices) >= 2**63:
-        raise ValueError(
-            f"mixed-radix codes over radices {list(radices)} overflow int64"
-        )
-    weights = [1] * len(radices)
-    for j in range(len(radices) - 2, -1, -1):
-        weights[j] = weights[j + 1] * radices[j + 1]
-    return np.array(weights, dtype=np.int64)
-
-
 def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
     """Prune constraints until no full product of r vertex pairs remains.
 
@@ -712,5 +701,5 @@ def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
             )
         pos = np.minimum(np.searchsorted(codes, corners), m - 1)
         alive[above[((codes[pos] == corners) & alive[pos]).all(axis=1)]] = False
-    kept = tuple(c for c, keep in zip(inst.constraints, alive.tolist()) if keep)
-    return RccInstance(inst.graph, inst.relation, kept, inst.nur_shape)
+    kept = (c for c, keep in zip(inst.constraints, alive.tolist()) if keep)
+    return canonical_subset(inst, constraints=kept)

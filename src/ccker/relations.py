@@ -1,20 +1,29 @@
 """Finite-domain relation algebra.
 
-Explicit relations over [q], permutation-invariance testing, OR-definability
-search, the uniformly-rainbow-freeness (NUR) relation family, and the closed
-form exponent formulas that drive kernel dispatch.
+Explicit relations over [q] as membership tables, permutation-invariance
+testing, OR-definability search, the uniformly-rainbow-freeness (NUR)
+relation family, and the closed form exponent formulas that drive kernel
+dispatch.
 
 Tuples of arity d*l are read as d x l matrices in column-major order:
 position (i, j), 1-based, maps to flat index (j-1)*d + i.
+
+A tuple t of [q]^r has the mixed-radix code sum_j (t_j - 1) * q^(r-j), its
+first entry most significant, so codes sort like tuples.  The grid of all
+codes, in chunks of rows of 0-based digits, is what the tables of
+``make_nur`` and ``full_relation`` and the capture check are built from.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
-from .budget import DEFAULT_TUPLE_BUDGET, charge, resolve_budget
+import numpy as np
+
+from .budget import DEFAULT_TUPLE_BUDGET, charge, charge_grid, resolve_budget
 
 __all__ = [
     "Relation",
@@ -32,6 +41,50 @@ __all__ = [
     "eta",
     "r_clique",
 ]
+
+# Rows per chunk of the code grid, and corners per batch of the witness search.
+_GRID_ROWS = 1 << 14
+_CORNER_BATCH = 1 << 16
+
+
+def _radix_weights(radices) -> np.ndarray:
+    """Place values of a mixed-radix int64 code whose digit j runs over
+    range(radices[j]), most significant digit first, so codes sort like
+    their digit tuples.  Raises ValueError if some code would not fit."""
+    if math.prod(radices) >= 2**63:
+        raise ValueError(
+            f"mixed-radix codes over radices {list(radices)} overflow int64"
+        )
+    weights = [1] * len(radices)
+    for j in range(len(radices) - 2, -1, -1):
+        weights[j] = weights[j + 1] * radices[j + 1]
+    return np.array(weights, dtype=np.int64)
+
+
+def _grid_chunks(q: int, r: int):
+    """The grid [q]^r in code order, as (first code, rows) pairs: each chunk
+    holds the 0-based digits of consecutive codes, one tuple per row."""
+    total = q**r
+    weights = _radix_weights([q] * r)
+    for start in range(0, total, _GRID_ROWS):
+        codes = np.arange(start, min(start + _GRID_ROWS, total), dtype=np.int64)
+        yield start, codes[:, None] // weights % q
+
+
+def _uniformly_rainbow_mask(block_colors: np.ndarray) -> np.ndarray:
+    """Rows x tuples boolean mask of uniformly rainbow evaluations.
+
+    ``block_colors`` has shape (rows, tuples, l, d): the colors of each
+    tuple's sets under each coloring.  It is sorted in place along d.  A
+    tuple is uniformly rainbow when its first set is rainbow and every other
+    set shows the same colors.
+    """
+    block_colors.sort(axis=3)
+    first = block_colors[:, :, 0]
+    mask = (first[:, :, 1:] != first[:, :, :-1]).all(axis=2)
+    for j in range(1, block_colors.shape[2]):
+        mask &= (block_colors[:, :, j] == first).all(axis=2)
+    return mask
 
 
 def is_uniformly_rainbow(values, d: int, l: int) -> bool:
@@ -55,45 +108,124 @@ def nur_membership(d: int, l: int):
     return contains
 
 
-@dataclass(frozen=True)
+def _table_of_rows(q: int, r: int, rows: np.ndarray) -> np.ndarray:
+    """The membership table of the checked rows of values in 1..q, coded a
+    chunk of rows at a time."""
+    table = np.zeros(q**r, dtype=bool)
+    if rows.size:
+        weights = _radix_weights([q] * r)
+        for start in range(0, len(rows), _GRID_ROWS):
+            chunk = rows[start : start + _GRID_ROWS].astype(np.int64)
+            table[(chunk - 1) @ weights] = True
+    return table
+
+
+def _check_dimensions(q: int, r: int) -> None:
+    if q < 1:
+        raise ValueError(f"domain size must be positive, got {q}")
+    if r < 1:
+        raise ValueError(f"arity must be positive, got {r}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Relation:
     """An explicit relation of arity r over the domain [q].
 
-    Tuples are stored sorted and deduplicated; membership is O(1) via a
-    frozenset built at construction.
+    ``table`` is a read-only boolean array of q^r entries: entry c says
+    whether the tuple with code c is a member.  ``Relation(q, r, tuples)``
+    checks the tuples one by one, duplicates allowed, ``Relation.from_rows``
+    the rows of an array all at once, and ``Relation.from_table`` takes a
+    table already built.  Membership is one lookup, ``len`` counts the
+    members, and ``tuples`` lists them sorted, built the first time it is
+    asked for.  Relations are equal when their q, r and tables are.
     """
 
     q: int
     r: int
-    tuples: tuple[tuple[int, ...], ...]
-    _members: frozenset = field(
-        init=False, repr=False, compare=False, default=frozenset()
-    )
+    table: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"domain size must be positive, got {self.q}")
-        if self.r < 1:
-            raise ValueError(f"arity must be positive, got {self.r}")
-        q, r = self.q, self.r
-
-        def checked(t):
+    def __init__(self, q: int, r: int, tuples):
+        _check_dimensions(q, r)
+        rows = []
+        for t in tuples:
             t = tuple(t)
             if len(t) != r:
                 raise ValueError(f"tuple needs {r} entries, got {len(t)}")
             if min(t) < 1 or max(t) > q:
                 raise ValueError(f"tuple entry out of range 1..{q}")
-            return t
+            rows.append(t)
+        self._adopt(q, r, _table_of_rows(q, r, np.array(rows, dtype=np.int64)))
 
-        members = frozenset(map(checked, self.tuples))
-        object.__setattr__(self, "tuples", tuple(sorted(members)))
-        object.__setattr__(self, "_members", members)
+    @classmethod
+    def from_rows(cls, q: int, r: int, rows) -> "Relation":
+        """The relation whose members are the rows of an integer array with r
+        columns, duplicates allowed, checked all at once."""
+        _check_dimensions(q, r)
+        rows = np.asarray(rows)
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):
+            raise ValueError(f"tuple entries must be integers, got {rows.dtype}")
+        if rows.size and (rows.ndim != 2 or rows.shape[1] != r):
+            raise ValueError(f"tuples need {r} entries, got shape {rows.shape}")
+        if rows.size and (rows.min() < 1 or rows.max() > q):
+            raise ValueError(f"tuple entry out of range 1..{q}")
+        return cls.from_table(q, r, _table_of_rows(q, r, rows))
+
+    @classmethod
+    def from_table(cls, q: int, r: int, table) -> "Relation":
+        """The relation whose membership table, in code order, is ``table``:
+        q^r booleans.  The array is kept, not copied, and made read-only."""
+        _check_dimensions(q, r)
+        table = np.asarray(table, dtype=bool)
+        if table.shape != (q**r,):
+            raise ValueError(f"table needs shape ({q**r},), got {table.shape}")
+        rel = object.__new__(cls)
+        rel._adopt(q, r, table)
+        return rel
+
+    def _adopt(self, q: int, r: int, table: np.ndarray) -> None:
+        table.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_size", int(np.count_nonzero(table)))
+
+    def rows(self) -> np.ndarray:
+        """The members as an array of values in 1..q, of the smallest dtype
+        that holds q, one row per tuple, in lexicographic order."""
+        codes = np.flatnonzero(self.table)
+        weights = _radix_weights([self.q] * self.r)
+        rows = np.empty((len(codes), self.r), dtype=np.min_scalar_type(self.q))
+        for start in range(0, len(codes), _GRID_ROWS):
+            chunk = codes[start : start + _GRID_ROWS, None] // weights
+            rows[start : start + _GRID_ROWS] = chunk % self.q + 1
+        return rows
+
+    @functools.cached_property
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        """The members, sorted."""
+        return tuple(map(tuple, self.rows().tolist()))
 
     def __contains__(self, t) -> bool:
-        return tuple(t) in self._members
+        q, code, width = self.q, 0, 0
+        for x in t:
+            if not 1 <= x <= q:
+                return False
+            code = code * q + x - 1
+            width += 1
+        return width == self.r and bool(self.table[code])
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return self._size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return (self.q, self.r) == (other.q, other.r) and np.array_equal(
+            self.table, other.table
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.r, self.table.tobytes()))
 
 
 @dataclass(frozen=True)
@@ -117,26 +249,20 @@ def make_nur(d: int, l: int, q: int, budget: int | None = None) -> Relation:
     """The arity-d*l relation over [q] of all non-uniformly-rainbow matrices."""
     UrfcShape(d, l, q)
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
-    charge("nur enumeration", q ** (d * l), b)
-    contains = nur_membership(d, l)
-    tuples = [
-        t for t in itertools.product(range(1, q + 1), repeat=d * l) if contains(t)
-    ]
-    return Relation(q, d * l, tuple(tuples))
+    charge_grid("nur enumeration", q, d * l, b)
+    table = np.empty(q ** (d * l), dtype=bool)
+    for start, digits in _grid_chunks(q, d * l):
+        rows = len(digits)
+        rainbow = _uniformly_rainbow_mask(digits.reshape(rows, 1, l, d))[:, 0]
+        np.logical_not(rainbow, out=table[start : start + rows])
+    return Relation.from_table(q, d * l, table)
 
 
 def full_relation(q: int, r: int, budget: int | None = None) -> Relation:
     """The complete relation [q]^r."""
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
-    charge("full relation enumeration", q**r, b)
-    return Relation(q, r, tuple(itertools.product(range(1, q + 1), repeat=r)))
-
-
-def _closed_under(rel: Relation, perm: tuple[int, ...]) -> bool:
-    # perm maps value v to perm[v-1]; forward closure under a generating set
-    # of the symmetric group implies closure under the whole group.
-    members = rel._members
-    return all(tuple(perm[x - 1] for x in t) in members for t in rel.tuples)
+    charge_grid("full relation enumeration", q, r, b)
+    return Relation.from_table(q, r, np.ones(q**r, dtype=bool))
 
 
 def is_permutation_invariant(rel: Relation) -> bool:
@@ -144,14 +270,23 @@ def is_permutation_invariant(rel: Relation) -> bool:
 
     Checks closure under the transposition (1 2) and the q-cycle, which
     generate the symmetric group on [q]; closure under generators is closure
-    under the group because the relation is finite.
+    under the group because the relation is finite.  A permutation maps the
+    finite grid onto itself, so closure under it means that every tuple and
+    its image have the same table entry: one gather of the relabelled
+    digits' codes per generator.
     """
-    q = rel.q
+    q, r = rel.q, rel.r
     if q < 2:
         return True
-    swap = (2, 1) + tuple(range(3, q + 1))
-    cycle = tuple(range(2, q + 1)) + (1,)
-    return _closed_under(rel, swap) and _closed_under(rel, cycle)
+    swap = np.array([1, 0] + list(range(2, q)))
+    cycle = np.roll(np.arange(q), -1)
+    weights = _radix_weights([q] * r)
+    for start, digits in _grid_chunks(q, r):
+        here = rel.table[start : start + len(digits)]
+        for perm in (swap, cycle):
+            if not np.array_equal(rel.table[perm[digits] @ weights], here):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -225,39 +360,46 @@ def find_or_witness(rel: Relation, k: int) -> OrWitness | None:
     position domain choices (2-subsets of [q] on J, single values off J) are
     tried in lexicographic order.  Deterministic: repeated calls return the
     identical witness.
+
+    The choices for one J are mixed-radix codes over the choices per
+    position.  A batch of consecutive codes is decoded, the 2^k corner codes
+    of each product are built position by position, and the table is
+    gathered at all of them; a candidate is a witness when exactly one
+    corner is missing.  Batches start small and double, so that a witness
+    among the first candidates is found after little work.
     """
     if not 1 <= k <= rel.r:
         raise ValueError(f"witness arity must be in 1..{rel.r}, got {k}")
     q, r = rel.q, rel.r
-    members = rel._members
-    pair_choices = list(itertools.combinations(range(1, q + 1), 2))
-    single_choices = [(v,) for v in range(1, q + 1)]
-    target = (1 << k) - 1
-    for js in itertools.combinations(range(1, r + 1), k):
-        jset = set(js)
-        per_pos = [
-            pair_choices if j in jset else single_choices for j in range(1, r + 1)
-        ]
-        for domains in itertools.product(*per_pos):
-            hit = 0
-            missing = None
-            ok = True
-            for t in itertools.product(*domains):
-                if t in members:
-                    hit += 1
-                elif missing is None:
-                    missing = t
+    pairs = np.array(list(itertools.combinations(range(q), 2)), dtype=np.int64)
+    weights = _radix_weights([q] * r)
+    most = max(1, _CORNER_BATCH >> k)
+    for js in itertools.combinations(range(r), k):
+        radices = [len(pairs) if j in js else q for j in range(r)]
+        choice_weights = _radix_weights(radices)
+        total = math.prod(radices)
+        start, batch = 0, min(8, most)
+        while start < total:
+            codes = np.arange(start, min(start + batch, total), dtype=np.int64)
+            start, batch = start + batch, min(2 * batch, most)
+            choice = codes[:, None] // choice_weights % radices
+            corners = np.zeros((len(codes), 1), dtype=np.int64)
+            for j in range(r):
+                if j in js:
+                    lo, hi = (pairs[choice[:, j]] * weights[j]).T[:, :, None]
+                    corners = np.concatenate((corners + lo, corners + hi), axis=1)
                 else:
-                    ok = False
-                    break
-            if ok and hit == target and missing is not None:
+                    corners += choice[:, j, None] * weights[j]
+            members = rel.table[corners]
+            found = np.flatnonzero((~members).sum(axis=1) == 1)
+            if found.size:
+                i = found[0]
+                missing = corners[i, np.argmin(members[i])]
+                alpha = tuple((missing // weights % q + 1).tolist())
                 beta = tuple(
-                    domains[j - 1][0]
-                    if domains[j - 1][1] == missing[j - 1]
-                    else domains[j - 1][1]
-                    for j in js
+                    sum(pairs[choice[i, j]].tolist()) + 2 - alpha[j] for j in js
                 )
-                return OrWitness(k, js, missing, beta)
+                return OrWitness(k, tuple(j + 1 for j in js), alpha, beta)
     return None
 
 

@@ -45,6 +45,19 @@ class TestGen:
         assert path.stat().st_mode & 0o777 == mode
         assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
 
+    def test_overwritten_output_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        old = os.umask(0o022)
+        try:
+            assert main(["gen", "--problem", "graph", "--n", "4", "-o", str(path)]) == 0
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert path.read_text().startswith("graph n=4")
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+
     def test_missing_flag_is_usage_error(self, tmp_path, capsys):
         code, _ = run(capsys, "gen", "--problem", "urfc", "--d", "2")
         assert code == 2
@@ -136,6 +149,35 @@ class TestBudgetFlag:
         captured = capsys.readouterr()
         assert code == 3
         assert "assignment enumeration: 4096 steps exceed budget 1000" in captured.err
+
+    @pytest.mark.parametrize("subcommand", ["reduce", "gen", "analyze"])
+    def test_budget_reaches_relation_materialization(
+        self, subcommand, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("CCKER_BUDGET", raising=False)
+        rel, cnf = tmp_path / "nur135.rel", tmp_path / "f.cnf"
+        rel.write_text("nur d=1 l=3 q=5\n")
+        cnf.write_text("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
+        argv = {
+            "reduce": ["reduce", "--transform", "sat-rclc", "--relation", str(rel),
+                       str(cnf), "-o", str(tmp_path / "f.rclc")],
+            "gen": ["gen", "--problem", "rcc", "--relation", str(rel), "--n", "4",
+                    "-o", str(tmp_path / "i.rcc")],
+            "analyze": ["analyze", str(rel)],
+        }[subcommand]
+        assert main(argv + ["--budget", "1"]) == 3
+        assert "nur enumeration: 125 steps exceed budget 1" in capsys.readouterr().err
+        assert main(argv) == 0
+
+    def test_rel_block_header_charged_before_its_table(self, tmp_path, capsys):
+        # a 10^8-entry table exceeds the default tuple budget of 10^7
+        inst = tmp_path / "i.rcc"
+        inst.write_text("graph n=8 m=0\nrel q=10 r=8 count=1\n1 2 3 4 5 6 7 8\n")
+        assert main(["solve", "--problem", "rcc", str(inst)]) == 3
+        err = capsys.readouterr().err
+        assert "relation header table: 100000000 steps exceed budget 10000000" in err
+        inst.write_text("graph n=7 m=0\nrel q=10 r=7 count=1\n1 2 3 4 5 6 7\n")
+        assert main(["solve", "--problem", "rcc", str(inst)]) == 0
 
 
 class TestKernelizeAndVerify:
@@ -428,6 +470,7 @@ def _surface_cases():
             GEN["urfc"], "verify --mode kernel --problem urfc --budget 10 i.urfc i.urfc"
         ],
         "budget-analyze": ["analyze --budget 5 rel.nur"],
+        "budget-analyze-witness-search": ["analyze --budget 200 rel.nur"],
         "budget-verify-reduction-target": [
             GEN["cnf"],
             "reduce --transform nae-urfc i.cnf -o out",
@@ -454,6 +497,9 @@ SURFACE_PINS = {
         (2, "", None),
     ],
     "budget-analyze": [
+        (3, "", None),
+    ],
+    "budget-analyze-witness-search": [
         (3, "q=5\nr=3\ntuples=120\npermutation_invariant=yes\n", None),
     ],
     "budget-solve": [

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,8 @@ from ccker.instances import (
     NotCliqueError,
     ParseError,
     RccInstance,
+    UrfcInstance,
+    canonical_subset,
     canonicalize_urfc_tuple,
     parse,
     parse_rcc,
@@ -57,6 +61,15 @@ class TestCanonicalization:
             canonicalize_urfc_tuple([(1, 1)], 2)
         with pytest.raises(ValueError):
             canonicalize_urfc_tuple([(1, 2, 3)], 2)
+
+    def test_canonical_subset_skips_the_checks(self):
+        inst = generate.gen_urfc(6, 2, 2, 3, 0.4, 0.3, 1)
+        kept = inst.tuples[::2]
+        with mock.patch("ccker.instances._canonical_urfc_tuples") as canon:
+            sub = canonical_subset(inst, tuples=iter(kept))
+        canon.assert_not_called()
+        assert sub == UrfcInstance(inst.graph, inst.q, inst.d, inst.l, kept)
+        assert sub.tuples == kept and inst.tuples != kept
 
 
 class TestValidateCliqueKv:
@@ -150,6 +163,31 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_rcc(f"graph n=2 m=0\nrel q=3 r=2 count=2\n1 2\n{line}\n1 2\n")
         assert (str(err.value), err.value.line) == (f"line 4: {message}", 4)
+
+    def test_any_spacing_reads_like_single_spaces(self):
+        # lines that are not single-space separated take the line-by-line path
+        text = "relation q=12 r=2\n1  2\n10\t11\n+3 04\n12 1\n"
+        assert parse_relation(text)[0] == Relation(
+            12, 2, ((1, 2), (10, 11), (3, 4), (12, 1))
+        )
+        assert parse_relation("relation q=12 r=2\n10 11\n3 4\n")[0] == Relation(
+            12, 2, ((3, 4), (10, 11))
+        )
+
+    def test_line_breaks_must_fall_after_every_tuple(self):
+        # the right number of values, but one of them on the wrong line
+        with pytest.raises(ParseError, match="tuple needs 2 entries, got 3") as err:
+            parse_relation("relation q=3 r=2\n1 2\n1 2 3\n1\n")
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("bad", [3, 4100, 9000])
+    def test_long_relation_names_its_first_bad_line(self, bad):
+        lines = ["1 2"] * 9000
+        lines[bad - 1] = "1 4"
+        lines[-1] = "1 5"
+        with pytest.raises(ParseError, match="out of range") as err:
+            parse_relation("relation q=3 r=2\n" + "\n".join(lines) + "\n")
+        assert err.value.line == bad + 1
 
     def test_rel_block_short_of_count(self):
         with pytest.raises(ParseError, match="end of input, expected relation tuple"):
@@ -253,6 +291,18 @@ class TestMalformedInput:
         with pytest.raises(BudgetExceededError, match="graph header vertices"):
             parse("graph", "graph n=1000 m=0\n")
         assert parse("graph", "graph n=100 m=0\n").n == 100
+
+    def test_relation_header_charged_against_budget(self, monkeypatch):
+        monkeypatch.setenv("CCKER_BUDGET", "100")
+        with pytest.raises(BudgetExceededError, match="relation header table: 243"):
+            parse("rcc", "graph n=2 m=0\nrel q=3 r=5 count=0\n")
+        assert parse("rcc", "graph n=2 m=0\nrel q=3 r=4 count=0\n").relation.r == 4
+        assert parse_relation("relation q=3 r=5\n", budget=243)[0].r == 5
+        # neither 2^(10^5) nor a 10^9-digit code is built before the refusal
+        with pytest.raises(BudgetExceededError, match=r"table: 2\^100000 steps"):
+            parse_relation("relation q=2 r=100000\n")
+        with pytest.raises(BudgetExceededError, match="table: 1000000000 steps"):
+            parse_relation("relation q=1 r=1000000000\n")
 
     def test_relation_file_needs_a_loader(self):
         with pytest.raises(ParseError, match="not available here") as err:

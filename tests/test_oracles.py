@@ -3,6 +3,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,35 @@ def urfc_predicate(inst, coloring):
             if is_uniformly_rainbow(flat, block.d, block.l):
                 return False
     return True
+
+
+def rainbow_free_reference(inst):
+    """The sorted colorings that ``urfc_predicate`` accepts, by filtering
+    arrays rather than one coloring at a time.
+
+    It starts from all q^n colorings and drops those with a monochromatic
+    edge.  Then, for each batch of tuples, it ORs ``1 << color`` over each
+    set; a tuple is uniformly rainbow when its first set's mask has d bits
+    and every set's mask equals the first's.  Only the colorings with no
+    uniformly rainbow tuple survive the batch.
+    """
+    n, q = inst.graph.n, inst.q
+    every = itertools.product(range(1, q + 1), repeat=n)
+    grid = np.array(list(every), dtype=np.int64).reshape(q**n, n)
+    for u, v in inst.graph.edges:
+        grid = grid[grid[:, u - 1] != grid[:, v - 1]]
+    blocks = inst.blocks if isinstance(inst, GurfcInstance) else (inst,)
+    for block in blocks:
+        d, l = block.d, block.l
+        sets = np.array(block.tuples, dtype=np.int64).reshape(-1, l, d) - 1
+        step = max(1, (1 << 20) // max(1, len(grid) * l * d))
+        for t in range(0, len(sets), step):
+            masks = np.bitwise_or.reduce(1 << grid[:, sets[t : t + step]], axis=3)
+            first = masks[:, :, 0]
+            bits = sum((first >> c) & 1 for c in range(1, q + 1))
+            rainbow = (bits == d) & (masks == first[:, :, None]).all(axis=2)
+            grid = grid[~rainbow.any(axis=1)]
+    return tuple(map(tuple, grid.tolist()))
 
 
 @st.composite
@@ -176,10 +206,23 @@ class TestSolveUrfc:
             mock.patch.object(oracles, "_TUPLE_BATCH", tuple_batch),
         ):
             got = solve_urfc(inst).colorings
-        every = itertools.product(range(1, inst.q + 1), repeat=inst.graph.n)
-        assert got == tuple(c for c in every if urfc_predicate(inst, c))
+        assert got == rainbow_free_reference(inst)
         assert all(a < b for a, b in zip(got, got[1:]))
         assert all(type(c) is int for coloring in got for c in coloring)
+
+    def test_reference_matches_scalar_predicate(self):
+        # pins the array reference of test_matches_direct_predicate on
+        # instances small enough for the scalar predicate
+        rng = random.Random(17)
+        for _ in range(80):
+            n, q = rng.randint(0, 5), rng.randint(1, 3)
+            shapes = {(rng.randint(1, q), rng.randint(1, 3)) for _ in range(3)}
+            density = rng.choice((0.0, 0.1, 0.4, 1.0))
+            seed = rng.randint(0, 10**6)
+            inst = generate.gen_gurfc(n, q, sorted(shapes), density, 0.2, seed)
+            every = itertools.product(range(1, q + 1), repeat=n)
+            expected = tuple(c for c in every if urfc_predicate(inst, c))
+            assert rainbow_free_reference(inst) == expected
 
     def test_unconstrained_lists_every_coloring_in_order(self):
         # 3^9 rows, more than one conversion chunk

@@ -26,8 +26,8 @@ from ccker.polykernel import (
     smallest_prime_geq,
     vandermonde_set,
 )
-from ccker.polykernel import _check_exact, _ones_det, _radix_weights
-from ccker.relations import make_nur
+from ccker.polykernel import _check_exact, _ones_det
+from ccker.relations import _radix_weights, make_nur
 
 
 def reference_kernel_tuples(inst, cp):

@@ -1,9 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccker.budget import BudgetExceededError
+from ccker.instances import Graph, RccInstance, parse, serialize
 from ccker.relations import (
     OrWitness,
     Relation,
@@ -32,7 +36,113 @@ def brute_force_invariant(rel):
     return True
 
 
+def reference_find_or_witness(rel, k):
+    """The search find_or_witness ran over a frozenset of member tuples
+    before relations became tables: candidates in the same order, each
+    product enumerated tuple by tuple."""
+    q, r = rel.q, rel.r
+    members = frozenset(rel.tuples)
+    pair_choices = list(itertools.combinations(range(1, q + 1), 2))
+    single_choices = [(v,) for v in range(1, q + 1)]
+    target = (1 << k) - 1
+    for js in itertools.combinations(range(1, r + 1), k):
+        jset = set(js)
+        per_pos = [
+            pair_choices if j in jset else single_choices for j in range(1, r + 1)
+        ]
+        for domains in itertools.product(*per_pos):
+            hit = 0
+            missing = None
+            ok = True
+            for t in itertools.product(*domains):
+                if t in members:
+                    hit += 1
+                elif missing is None:
+                    missing = t
+                else:
+                    ok = False
+                    break
+            if ok and hit == target and missing is not None:
+                beta = tuple(
+                    domains[j - 1][0]
+                    if domains[j - 1][1] == missing[j - 1]
+                    else domains[j - 1][1]
+                    for j in js
+                )
+                return OrWitness(k, js, missing, beta)
+    return None
+
+
+@st.composite
+def explicit_relations(draw):
+    """(q, r, tuples) with q, r <= 4: a random subset of [q]^r at a drawn
+    density, or a union of orbits under all color permutations, listed in
+    random order with some tuples repeated."""
+    q, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    grid = list(itertools.product(range(1, q + 1), repeat=r))
+    if draw(st.booleans()):
+        density = draw(st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0)))
+        tuples = [t for t in grid if rng.random() < density]
+    else:
+        reps = rng.sample(grid, rng.randint(0, min(3, len(grid))))
+        perms = itertools.permutations(range(1, q + 1))
+        tuples = [tuple(g[x - 1] for x in t) for g in perms for t in reps]
+    tuples += rng.choices(tuples, k=len(tuples) // 2) if tuples else []
+    rng.shuffle(tuples)
+    return q, r, tuples
+
+
 class TestRelation:
+    @settings(max_examples=150, deadline=None)
+    @given(explicit_relations())
+    def test_table_matches_tuple_set(self, drawn):
+        q, r, tuples = drawn
+        rel = Relation(q, r, tuples)
+        members = set(tuples)
+        assert rel.tuples == tuple(sorted(members))
+        assert len(rel) == len(members)
+        grid = itertools.product(range(1, q + 1), repeat=r)
+        assert all((t in rel) == (t in members) for t in grid)
+        assert Relation.from_rows(q, r, np.array(tuples).reshape(-1, r)) == rel
+        text = serialize(rel)
+        assert parse("relation", text) == (rel, None) and serialize(rel) == text
+        inst = RccInstance(Graph(r, ()), rel, ())
+        again = parse("rcc", serialize(inst))
+        assert again == inst and hash(again) == hash(inst)
+        assert is_permutation_invariant(rel) == brute_force_invariant(rel)
+        for k in range(1, r + 1):
+            assert find_or_witness(rel, k) == reference_find_or_witness(rel, k)
+
+    def test_membership_of_malformed_tuples_is_false(self):
+        rel = full_relation(3, 2)
+        for t in ((), (1,), (1, 2, 3), (0, 1), (1, 4), (-1, 2), (2, 2, 2)):
+            assert t not in rel
+        assert (3, 3) in rel and [1, 2] in rel and iter((2, 1)) in rel
+
+    def test_equality_and_hash_follow_the_table(self):
+        a = Relation(3, 2, ((1, 2), (2, 1)))
+        b = Relation(3, 2, ((2, 1), (1, 2), (1, 2)))
+        assert a == b and hash(a) == hash(b)
+        assert a != Relation(3, 2, ((1, 2),))
+        assert a != Relation(2, 2, ((1, 2), (2, 1)))
+        assert len({a, b}) == 1
+
+    def test_table_is_read_only(self):
+        rel = make_nur(1, 2, 3)
+        with pytest.raises(ValueError):
+            rel.table[0] = True
+
+    def test_from_table_checks_its_shape(self):
+        with pytest.raises(ValueError, match="table needs shape"):
+            Relation.from_table(3, 2, np.ones(8, dtype=bool))
+
+    def test_from_rows_checks_every_row(self):
+        with pytest.raises(ValueError, match="out of range 1..3"):
+            Relation.from_rows(3, 2, np.array([[1, 2], [3, 4]]))
+        with pytest.raises(ValueError, match="2 entries"):
+            Relation.from_rows(3, 2, np.array([[1, 2, 3]]))
+
     def test_canonical_storage(self):
         rel = Relation(3, 2, ((2, 1), (1, 2), (2, 1)))
         assert rel.tuples == ((1, 2), (2, 1))
@@ -66,6 +176,23 @@ class TestMakeNur:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             make_nur(3, 4, 5, budget=1000)
+
+    def test_matches_scalar_predicate_on_every_small_shape(self):
+        # every shape with q <= 6 (and l <= 16 at q = 1) whose grid has at
+        # most 10^5 points; the scalar predicate shares no code with the
+        # mask that builds the table
+        shapes = [(1, l, 1) for l in range(1, 17)] + [
+            (d, l, q)
+            for q in range(2, 7)
+            for d in range(1, q + 1)
+            for l in range(1, 17)
+            if q ** (d * l) <= 10**5
+        ]
+        assert len(shapes) == 16 + 86
+        for d, l, q in shapes:
+            grid = itertools.product(range(1, q + 1), repeat=d * l)
+            expected = [not is_uniformly_rainbow(t, d, l) for t in grid]
+            assert make_nur(d, l, q).table.tolist() == expected, (d, l, q)
 
     def test_membership_predicate_matches(self):
         rel = make_nur(2, 2, 3)
