@@ -7,11 +7,13 @@ modulators (a check that the coloring extends across the cliques).  Its
 vertex schedule is a fixed, instance-determined maximum-cardinality order so
 that gadget-heavy instances refute in reasonable time.  Rainbow-free
 coloring extends partial colorings vertex by vertex in numpy, dropping each
-at its first violated edge or tuple, directly on the set semantics.  Its
-uniformly-rainbow test is the one ``make_nur`` builds the NUR tables with,
-so comparing it with the relational oracles on NUR encodings checks the
-search engines, not that test; the tests check the test itself against the
-scalar ``is_uniformly_rainbow``.
+at its first violated edge or tuple, directly on the set semantics.  It
+tests tuples with the same uniformly-rainbow mask that ``make_nur`` builds
+the NUR tables with, so its agreement with the relational oracles on NUR
+encodings checks the search engines but not the mask.  The independent
+checks of the mask are the scalar-predicate tests: ``make_nur`` against
+``is_uniformly_rainbow`` on every small shape, and ``solve_urfc`` against an
+array reference pinned to the scalar ``urfc_predicate``.
 
 Budgets are hard errors.  Full enumeration charges q^n against the budget;
 decision mode (``limit`` set) instead charges explored search nodes, except
@@ -242,9 +244,10 @@ def solve_urfc(
     """All proper colorings with no uniformly rainbow constraint tuple.
 
     Implemented directly on the set semantics, not on a relation.  Step k
-    extends the surviving colorings of vertices 1..k-1 by each color of k, in color order so the
-    rows stay sorted, and drops those with a monochromatic edge back from k
-    or a uniformly rainbow tuple whose largest vertex is k.
+    extends the surviving colorings of vertices 1..k-1 by each color of k,
+    in color order so the rows stay sorted, and drops those with a
+    monochromatic edge back from k or a uniformly rainbow tuple whose
+    largest vertex is k.
     """
     graph, q, n = inst.graph, inst.q, inst.graph.n
     _node_budget("coloring enumeration", q, n, budget)

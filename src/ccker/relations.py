@@ -162,12 +162,13 @@ class Relation:
         columns, duplicates allowed, checked all at once."""
         _check_dimensions(q, r)
         rows = np.asarray(rows)
-        if rows.size and not np.issubdtype(rows.dtype, np.integer):
-            raise ValueError(f"tuple entries must be integers, got {rows.dtype}")
-        if rows.size and (rows.ndim != 2 or rows.shape[1] != r):
-            raise ValueError(f"tuples need {r} entries, got shape {rows.shape}")
-        if rows.size and (rows.min() < 1 or rows.max() > q):
-            raise ValueError(f"tuple entry out of range 1..{q}")
+        if rows.size:
+            if not np.issubdtype(rows.dtype, np.integer):
+                raise ValueError(f"tuple entries must be integers, got {rows.dtype}")
+            if rows.ndim != 2 or rows.shape[1] != r:
+                raise ValueError(f"tuples need {r} entries, got shape {rows.shape}")
+            if rows.min() < 1 or rows.max() > q:
+                raise ValueError(f"tuple entry out of range 1..{q}")
         return cls.from_table(q, r, _table_of_rows(q, r, rows))
 
     @classmethod
