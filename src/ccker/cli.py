@@ -21,6 +21,7 @@ files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import stat
@@ -380,7 +381,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing keeps no state between calls, and argparse looks up
+    ``sys.stdout`` and ``sys.stderr`` only when it prints."""
     parser = argparse.ArgumentParser(
         prog="ccker",
         description="Constrained-coloring kernelization toolkit",

@@ -1,11 +1,14 @@
 """Exhaustive ground-truth solvers used to certify kernels and reductions.
 
-Two engines back the solvers.  A depth-first search over colorings with list
-pruning serves every predicate oracle: (list) coloring with constraints,
-hypergraph coloring, CNF (two colors, a check per clause) and clique
-modulators (a check that the coloring extends across the cliques).  Its
-vertex schedule is a fixed, instance-determined maximum-cardinality order so
-that gadget-heavy instances refute in reasonable time.  Rainbow-free
+Two engines back the solvers.  A depth-first search over colorings serves
+(list) coloring with constraints, hypergraph coloring, CNF (two colors) and
+clique modulators.  Every constraint, whether an edge, a hyperedge, a clause
+or a relation tuple, is compiled once into the incidence list of one of its
+vertices and propagates: once a single vertex of it is left uncolored, the
+colors it rejects leave that vertex's domain.  Clique modulators keep one
+leaf test, that the coloring extends across the cliques.  The search's vertex
+schedule is a fixed, instance-determined maximum-cardinality order so that
+gadget-heavy instances refute in reasonable time.  Rainbow-free
 coloring extends partial colorings vertex by vertex in numpy, dropping each
 at its first violated edge or tuple, directly on the set semantics.  It
 tests tuples with the same uniformly-rainbow mask that ``make_nur`` builds
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,39 +106,116 @@ def _schedule(n: int, lists, adjacency, groups) -> list[int]:
     return order
 
 
-def _dfs_colorings(n, lists, adjacency, checks, limit, node_budget):
-    """Enumerate colorings passing list, edge, and group checks.
+def _dfs_colorings(
+    n, lists, adjacency, limit, node_budget, rejects=(), relation=None, tuples=(),
+    leaf=None,
+):
+    """Enumerate the colorings that respect the lists, edges and constraints.
 
     ``lists`` and ``adjacency`` are indexed by vertex (index 0 is unused).
-    ``checks`` is a list of (vertex_tuple, predicate) pairs; a predicate is
-    evaluated on the colors of its vertices as soon as the last of them is
-    assigned.  It stops after ``limit`` solutions, if set, and meters its
-    nodes against ``node_budget``.  Returns colorings in vertex order, sorted.
-    """
-    for vs, _ in checks:
-        for v in vs:
-            if not 1 <= v <= n:
-                raise ValueError(f"constraint vertex {v} out of range")
-    order = _schedule(n, lists, adjacency, [vs for vs, _ in checks])
-    pos = {v: i for i, v in enumerate(order)}
-    due: list[list] = [[] for _ in range(n + 1)]
-    for vs, pred in checks:
-        last = max(pos[v] for v in vs) if vs else -1
-        if last < 0:
-            if not pred(()):
-                return []
-        else:
-            due[last].append((vs, pred))
+    A constraint rejects some codes, colorings of its vertices: ``rejects``
+    pairs distinct vertices with the codes they reject, and each tuple of
+    ``tuples`` rejects the codes that ``relation`` leaves out (a tuple may
+    repeat a vertex).  ``leaf``, if given, tests each complete coloring,
+    passed as the colors of vertices 1..n.
 
-    domains = {v: set(lists[v]) for v in range(1, n + 1)}
+    The search colors the vertices in a fixed order, trying colors in
+    ascending order.  Each constraint is compiled once into the incidence
+    list of its second-to-last vertex in that order.  When that vertex gets
+    a color, the constraint removes from the last vertex's domain every
+    color it rejects, as an edge removes its color from a neighbor's domain,
+    and the removals are undone on backtrack.  The last vertex then only
+    takes colors the constraint accepts, so a constraint with no uncolored
+    vertex left always holds.  A constraint with one distinct vertex filters
+    that vertex's domain before the search.  Propagation only cuts subtrees
+    without solutions, so the listing and the first solution found do not
+    depend on it; the node count does.  The search stops after ``limit``
+    solutions, if set, and meters its nodes against ``node_budget``.
+    Returns colorings in vertex order, sorted.
+    """
+    groups = [vs for vs, _ in rejects] + list(tuples)
+    if leaf is not None:  # the leaf test spans every vertex
+        groups.append(range(1, n + 1))
+    order = _schedule(n, lists, adjacency, groups)
+    pos = [0] * (n + 1)
+    for i, v in enumerate(order):
+        pos[v] = i
+    domains = [set(dom) for dom in lists]
+
+    # at[v][c] holds (u, others, bad): once v has color c and every (w, x)
+    # of others has w colored x, bad leaves u's domain
+    at: list[dict] = [{} for _ in range(n + 1)]
+    for vs, codes in rejects:
+        if len(vs) == 1:
+            domains[vs[0]].difference_update(code[0] for code in codes)
+            continue
+        *rest, i, j = sorted(range(len(vs)), key=lambda k: pos[vs[k]])
+        for code in codes:
+            others = tuple((vs[k], code[k]) for k in rest)
+            at[vs[i]].setdefault(code[i], []).append((vs[j], others, code[j]))
+
+    # lookups[v] holds (u, weight of u, (w, weight of w) for the other
+    # vertices): once v has a color, the colors of u whose code the table
+    # rejects leave u's domain
+    lookups: list[list] = [[] for _ in range(n + 1)]
+    weights, offset, table = [], 0, b""
+    if tuples:
+        weights = _radix_weights([relation.q] * relation.r).tolist()
+        offset, table = sum(weights), relation.table.tobytes()
+    for t in tuples:
+        weight: dict[int, int] = {}
+        for v, w in zip(t, weights):  # a repeated vertex adds its weights
+            weight[v] = weight.get(v, 0) + w
+        ranked = sorted(weight, key=pos.__getitem__)
+        u = ranked[-1]
+        wu = weight.pop(u)
+        if weight:
+            lookups[ranked[-2]].append((u, wu, tuple(weight.items())))
+        else:
+            domains[u] = {c for c in domains[u] if table[wu * c - offset]}
+
     colors = [0] * (n + 1)
     solutions: list[tuple[int, ...]] = []
     nodes = 0
 
+    def prune(v: int, c: int, removed: list) -> bool:
+        """Remove what v = c rules out from the uncolored domains, recording
+        each (vertex, color) in ``removed``; False once a domain empties."""
+        for u in adjacency[v]:
+            dom = domains[u]
+            if colors[u] == 0 and c in dom:
+                dom.discard(c)
+                removed.append((u, c))
+                if not dom:
+                    return False
+        for u, others, bad in at[v].get(c, ()):
+            for w, x in others:
+                if colors[w] != x:
+                    break
+            else:
+                dom = domains[u]
+                if bad in dom:
+                    dom.discard(bad)
+                    removed.append((u, bad))
+                    if not dom:
+                        return False
+        for u, wu, terms in lookups[v]:
+            code = -offset
+            for w, x in terms:
+                code += colors[w] * x
+            dom = domains[u]
+            for d in [d for d in dom if not table[code + wu * d]]:
+                dom.discard(d)
+                removed.append((u, d))
+            if not dom:
+                return False
+        return True
+
     def rec(depth: int) -> bool:
         nonlocal nodes
         if depth == n:
-            solutions.append(tuple(colors[1 : n + 1]))
+            if leaf is None or leaf(colors[1:]):
+                solutions.append(tuple(colors[1:]))
             return limit is not None and len(solutions) >= limit
         v = order[depth]
         for c in sorted(domains[v]):
@@ -144,26 +223,17 @@ def _dfs_colorings(n, lists, adjacency, checks, limit, node_budget):
             if nodes > node_budget:
                 charge("coloring search nodes", nodes, node_budget)
             colors[v] = c
-            ok = all(
-                pred(tuple(colors[u] for u in vs)) for vs, pred in due[depth]
-            )
-            removed = []
-            if ok:
-                for u in adjacency[v]:
-                    if colors[u] == 0 and c in domains[u]:
-                        domains[u].discard(c)
-                        removed.append(u)
-                        if not domains[u]:
-                            ok = False
-                if ok and rec(depth + 1):
-                    return True
-            for u in removed:
-                domains[u].add(c)
+            removed: list[tuple[int, int]] = []
+            if prune(v, c, removed) and rec(depth + 1):
+                return True
+            for u, d in removed:
+                domains[u].add(d)
             colors[v] = 0
         return False
 
     try:
-        rec(0)
+        if all(domains[1:]):
+            rec(0)
     finally:
         del rec  # rec refers to itself; drop the cycle before returning
     solutions.sort()
@@ -185,15 +255,9 @@ def _solve_relational(inst, lists, limit, budget) -> SolutionSet:
     rel = inst.relation
     n, q = inst.graph.n, rel.q
     nodes = _node_budget("coloring enumeration", q, n, budget, limit is None)
-    # colors are in 1..q, so a tuple's code is its weighted sum minus this
-    weights = _radix_weights([q] * rel.r).tolist()
-    offset, table = sum(weights), rel.table.tobytes()
-
-    def member(colors) -> int:
-        return table[sum(map(operator.mul, colors, weights)) - offset]
-
-    checks = [(t, member) for t in inst.constraints]
-    sols = _dfs_colorings(n, lists, inst.graph._adj, checks, limit, nodes)
+    sols = _dfs_colorings(
+        n, lists, inst.graph._adj, limit, nodes, relation=rel, tuples=inst.constraints
+    )
     return SolutionSet(q, tuple(sols))
 
 
@@ -217,16 +281,10 @@ def solve_hypergraph_qcol(
 ) -> SolutionSet:
     """All q-colorings of the hypergraph with no monochromatic edge."""
     nodes = _node_budget("coloring enumeration", q, h.n, budget, limit is None)
-    pair_edges = [e for e in h.edges if len(e) == 2]
-    adjacency = [set() for _ in range(h.n + 1)]
-    for u, v in pair_edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    checks = [
-        (e, lambda cs: len(set(cs)) > 1) for e in h.edges if len(e) != 2
-    ]
+    # an edge rejects its q monochromatic codes
+    rejects = [(e, [(c,) * len(e) for c in range(1, q + 1)]) for e in h.edges]
     lists = [frozenset(range(1, q + 1))] * (h.n + 1)
-    sols = _dfs_colorings(h.n, lists, adjacency, checks, limit, nodes)
+    sols = _dfs_colorings(h.n, lists, [()] * (h.n + 1), limit, nodes, rejects)
     return SolutionSet(q, tuple(sols))
 
 
@@ -314,14 +372,14 @@ def solve_cnf(
         raise ValueError(f"mode must be 'sat' or 'nae', got {mode!r}")
     n = formula.n
     nodes = _node_budget("assignment enumeration", 2, n, budget)
-    wanted = {True} if mode == "sat" else {True, False}  # values a clause must show
-
-    def satisfied(clause):
-        return lambda cs: {(c == 2) == (x > 0) for c, x in zip(cs, clause)} >= wanted
-
-    checks = [(tuple(map(abs, cl)), satisfied(cl)) for cl in formula.clauses]
+    # a clause rejects its all-false code, and in nae mode its all-true one
+    rejects = []
+    for clause in formula.clauses:
+        false = tuple(1 if lit > 0 else 2 for lit in clause)
+        codes = [false] if mode == "sat" else [false, tuple(3 - c for c in false)]
+        rejects.append((tuple(map(abs, clause)), codes))
     lists = [frozenset((1, 2))] * (n + 1)
-    sols = _dfs_colorings(n, lists, [()] * (n + 1), checks, limit, nodes)
+    sols = _dfs_colorings(n, lists, [()] * (n + 1), limit, nodes, rejects)
     return tuple(tuple(c == 2 for c in coloring) for coloring in sols)
 
 
@@ -413,6 +471,5 @@ def cliquekv_colorable(
     def extends(colors) -> bool:  # the search only offers proper colorings
         return _extend_cliques(cliques, q, colors) is not None
 
-    check = (tuple(range(1, graph.n + 1)), extends)
     lists = [frozenset(range(1, q + 1))] * (graph.n + 1)
-    return bool(_dfs_colorings(graph.n, lists, graph._adj, [check], 1, nodes))
+    return bool(_dfs_colorings(graph.n, lists, graph._adj, 1, nodes, leaf=extends))

@@ -367,6 +367,33 @@ class TestInputFiles:
         assert "graph header vertices: 1000" in capsys.readouterr().err
 
 
+class TestConsecutiveCalls:
+    """main builds its parser once; no call's flags reach the next call."""
+
+    def test_count_flag_does_not_stick(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 3 1\n1 2 3 0\n")
+        assert run(capsys, "solve", "--problem", "cnf", "--count", str(path)) == (
+            0, "YES\ncount=7\n"
+        )
+        assert run(capsys, "solve", "--problem", "cnf", str(path)) == (0, "YES\n")
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 2 1\n1 2 0\n")
+        assert main(["solve", "--problem", "cnf", "--mode", "xor", str(path)]) == 2
+        assert "invalid choice: 'xor'" in capsys.readouterr().err
+        assert run(capsys, "solve", "--problem", "cnf", str(path)) == (0, "YES\n")
+
+    def test_budget_does_not_reach_the_next_call(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CCKER_BUDGET", raising=False)
+        path = tmp_path / "f.cnf"
+        path.write_text("p cnf 12 1\n1 2 0\n")
+        assert main(["solve", "--problem", "cnf", "--budget", "100", str(path)]) == 3
+        assert "4096 steps exceed budget 100" in capsys.readouterr().err
+        assert run(capsys, "solve", "--problem", "cnf", str(path)) == (0, "YES\n")
+
+
 # ---------------------------------------------------------------------------
 # The whole CLI surface, pinned: exit code, stdout and output file digest of
 # every step.  Each case runs its steps in a fresh directory that holds

@@ -30,7 +30,7 @@ from ccker.oracles import (
     solve_rclc,
     solve_urfc,
 )
-from ccker.relations import is_uniformly_rainbow, make_nur
+from ccker.relations import Relation, is_uniformly_rainbow, make_nur
 
 
 def urfc_predicate(inst, coloring):
@@ -93,6 +93,39 @@ def rainbow_free_instances(draw):
     return generate.gen_gurfc(n, q, shapes, density, edge_density, seed)
 
 
+def relational_reference(inst, lists=None):
+    """Every coloring in lex order that is proper, puts each constraint
+    tuple's colors among the relation's listed members and, given ``lists``,
+    takes each vertex's color from its list."""
+    members = set(inst.relation.tuples)
+    every = itertools.product(range(1, inst.relation.q + 1), repeat=inst.graph.n)
+    return tuple(
+        c
+        for c in every
+        if all(c[u - 1] != c[v - 1] for u, v in inst.graph.edges)
+        and all(tuple(c[v - 1] for v in t) in members for t in inst.constraints)
+        and (lists is None or all(x in s for x, s in zip(c, lists)))
+    )
+
+
+@st.composite
+def relational_instances(draw):
+    """Rcc instances on n=1..6 vertices over explicit relations (q, r <= 3,
+    rows drawn with duplicates), whose constraint tuples may repeat a
+    vertex, and color lists for rclc, empty ones included."""
+    n, q, r = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grid = list(itertools.product(range(1, q + 1), repeat=r))
+    rows = draw(st.lists(st.sampled_from(grid), max_size=len(grid) + 2))
+    relation = Relation.from_rows(q, r, np.array(rows, dtype=np.int64).reshape(-1, r))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
+    vertex = st.integers(1, n)
+    constraints = draw(st.lists(st.tuples(*[vertex] * r), max_size=6))
+    lists = draw(st.lists(st.frozensets(st.integers(1, q)), min_size=n, max_size=n))
+    inst = RccInstance(Graph(n, tuple(edges)), relation, tuple(constraints))
+    return inst, ListAssignment(q, tuple(lists))
+
+
 class TestSolveRcc:
     def test_single_edge_two_colors(self):
         inst = RccInstance(Graph(2, ((1, 2),)), make_nur(1, 2, 2), ())
@@ -130,6 +163,27 @@ class TestSolveRcc:
         # (c, c) is never in the distinct-pair relation
         assert not solve_rcc(inst).is_yes
 
+    @settings(max_examples=150, deadline=None)
+    @given(relational_instances())
+    def test_matches_product_reference(self, drawn):
+        inst, _ = drawn
+        ref = relational_reference(inst)
+        assert solve_rcc(inst).colorings == ref
+        first = solve_rcc(inst, limit=1)
+        assert first.is_yes == bool(ref) and set(first) <= set(ref)
+
+    def test_distinct_pair_tuples_prune_like_edges(self):
+        # K5 with q = 4 takes 64 nodes to refute, as constraints over the
+        # distinct-pair relation or as edges; a search that tests each tuple
+        # only once both its vertices are colored needs 260
+        pairs = tuple(itertools.combinations(range(1, 6), 2))
+        as_tuples = RccInstance(Graph(5, ()), make_nur(1, 2, 4), pairs)
+        as_edges = RccInstance(Graph(5, pairs), make_nur(1, 2, 4), ())
+        for inst in (as_tuples, as_edges):
+            assert not solve_rcc(inst, limit=1, budget=64).is_yes
+            with pytest.raises(BudgetExceededError, match="search nodes"):
+                solve_rcc(inst, limit=1, budget=63)
+
 
 class TestSolveRclc:
     def test_consistent_singletons(self):
@@ -141,6 +195,16 @@ class TestSolveRclc:
         lists = ListAssignment(3, (frozenset(), frozenset({1})))
         inst = RclcInstance(Graph(2, ()), make_nur(1, 2, 3), (), lists)
         assert not solve_rclc(inst).is_yes
+
+    @settings(max_examples=150, deadline=None)
+    @given(relational_instances())
+    def test_matches_product_reference(self, drawn):
+        rcc, lists = drawn
+        inst = RclcInstance(rcc.graph, rcc.relation, rcc.constraints, lists)
+        ref = relational_reference(rcc, lists.lists)
+        assert solve_rclc(inst).colorings == ref
+        first = solve_rclc(inst, limit=1)
+        assert first.is_yes == bool(ref) and set(first) <= set(ref)
 
 
 class TestSolveUrfc:
@@ -261,6 +325,26 @@ class TestSearchAccounting:
             gc.enable()
 
 
+def hypergraph_reference(h, q):
+    """Every q-coloring in lex order that shows two colors on each edge."""
+    every = itertools.product(range(1, q + 1), repeat=h.n)
+    return tuple(
+        c for c in every if all(len({c[v - 1] for v in e}) > 1 for e in h.edges)
+    )
+
+
+@st.composite
+def hypergraphs(draw):
+    """Hypergraphs on n=0..7 vertices with edges of sizes 1..4."""
+    n = draw(st.integers(0, 7))
+    sizes = st.sampled_from([k for k in (1, 2, 2, 3, 3, 3, 4, 4) if k <= n])
+    edges = set()
+    for _ in range(draw(st.integers(0, 10)) if n else 0):
+        k = draw(sizes)
+        edges.add(tuple(sorted(draw(st.sets(st.integers(1, n), min_size=k, max_size=k)))))
+    return Hypergraph(n, tuple(edges))
+
+
 class TestSolveHypergraph:
     def test_single_triple_two_colors(self):
         assert len(solve_hypergraph_qcol(Hypergraph(3, ((1, 2, 3),)), 2)) == 6
@@ -279,6 +363,26 @@ class TestSolveHypergraph:
     def test_pair_edges_behave_like_graph(self):
         h = Hypergraph(3, ((1, 2), (2, 3), (1, 3)))
         assert len(solve_hypergraph_qcol(h, 3)) == 6
+
+    @settings(max_examples=150, deadline=None)
+    @given(hypergraphs(), st.integers(1, 3))
+    def test_matches_product_reference(self, h, q):
+        ref = hypergraph_reference(h, q)
+        assert solve_hypergraph_qcol(h, q).colorings == ref
+        first = solve_hypergraph_qcol(h, q, limit=1)
+        assert first.is_yes == bool(ref) and set(first) <= set(ref)
+
+    def test_complete_3_uniform_refuted_by_propagation(self):
+        # propagation refutes this in 270 nodes; a search that tests each
+        # hyperedge only once it is fully colored needs 813
+        h = Hypergraph(7, tuple(itertools.combinations(range(1, 8), 3)))
+        assert not solve_hypergraph_qcol(h, 3, limit=1, budget=300).is_yes
+
+    def test_size_one_hyperedge_forces_no(self):
+        # a single vertex is monochromatic under every coloring
+        h = Hypergraph(3, ((2,), (1, 3)))
+        assert not solve_hypergraph_qcol(h, 3).is_yes
+        assert not solve_hypergraph_qcol(h, 3, limit=1).is_yes
 
 
 def cnf_reference(formula, mode):
