@@ -20,7 +20,8 @@ print(f"formula: {len(formula.clauses)} clauses on {formula.n} vars, "
 for variant in ("singletons", "pairs"):
     inst, report = nae_to_urfc(formula, variant)
     sols = solve_urfc(inst)
-    print(f"  {variant:10s}: shape (d={inst.d}, l={inst.l}) on "
+    (block,) = inst.blocks
+    print(f"  {variant:10s}: shape (d={block.d}, l={block.l}) on "
           f"{report.output_vertices} vertices, {len(sols)} colorings")
     assert len(sols) == len(nae)
 
@@ -29,7 +30,7 @@ for variant in ("singletons", "pairs"):
 inst = gen_urfc(n=5, d=1, l=3, q=3, density=0.4, edge_density=0.3, seed=5)
 hg, report = urfc_to_hypergraph(inst)
 print(f"\nrainbow-free (1,3,3) instance: n={inst.graph.n}, "
-      f"{len(inst.tuples)} tuples")
+      f"{len(inst.blocks[0].tuples)} tuples")
 print(f"  -> 3-uniform hypergraph on {hg.n} vertices "
       f"(+{report.additive} pad), {hg.m} edges")
 a = solve_urfc(inst).is_yes

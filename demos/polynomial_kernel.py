@@ -17,12 +17,13 @@ print(f"  color vectors: {cp.colors}")
 print(f"  polynomial: {len(cp.poly.terms)} monomials, degree {cp.poly.degree}")
 print("  exhaustive capture check:", check_captures(cp))
 
-# A dense random instance on 7 vertices.
+# A dense random instance on 7 vertices: one block of (2, 2) tuples.
 inst = gen_urfc(n=7, d=2, l=2, q=3, density=1.0, edge_density=0.3, seed=42)
-print(f"\ninstance: n={inst.graph.n}, {inst.graph.m} edges, {len(inst.tuples)} tuples")
+tuples = len(inst.blocks[0].tuples)
+print(f"\ninstance: n={inst.graph.n}, {inst.graph.m} edges, {tuples} tuples")
 
 result = kernelize_urfc(inst)
-report = result.report
+(report,) = result.reports
 print(f"kernel: method={report.method}, basis size {report.basis_size}")
 print(f"  dimension bound C(m*n + r, r) = {report.binom_bound}")
 
@@ -36,8 +37,9 @@ print("identical:", before.colorings == after.colorings)
 for d, l, q in [(1, 2, 3), (2, 1, 2)]:
     small = gen_urfc(n=5, d=d, l=l, q=q, density=0.5, edge_density=0.3, seed=7)
     r = kernelize_urfc(small)
-    print(f"\n({d},{l},{q}) -> method={r.report.method}", end="")
-    if r.report.answer is not None:
-        print(f", answer={'YES' if r.report.answer else 'NO'}", end="")
+    (rep,) = r.reports
+    print(f"\n({d},{l},{q}) -> method={rep.method}", end="")
+    if rep.answer is not None:
+        print(f", answer={'YES' if rep.answer else 'NO'}", end="")
         print(f", emitted constant instance on {r.instance.graph.n} vertices", end="")
     print()

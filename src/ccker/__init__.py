@@ -21,7 +21,6 @@ from .instances import (
     ParseError,
     RccInstance,
     RclcInstance,
-    UrfcInstance,
     canonicalize_urfc_tuple,
     parse,
     serialize,
@@ -40,11 +39,10 @@ from .oracles import (
 from .polykernel import (
     CapturePair,
     CaptureUnavailableError,
-    GurfcKernelResult,
     KernelReport,
+    KernelResult,
     PrimeField,
     SparsePoly,
-    UrfcKernelResult,
     build_capture,
     check_captures,
     kernelize_product_pruning,

@@ -96,10 +96,10 @@ def _relation_loader_for(path: str):
     instance file, and a parse error in it names REF."""
     base = os.path.dirname(os.path.abspath(path))
 
-    def load(ref: str):
+    def load(ref: str, budget: int | None):
         text = _read(os.path.join(base, ref))
         try:
-            return parse_relation(text)
+            return parse_relation(text, budget)
         except ParseError as exc:
             raise ParseError(f"{ref}: {exc}") from None
 
@@ -133,10 +133,10 @@ def _gen_over_relation(args, gen):
 
 def _kernelize_urfc(inst, args):
     result = polykernel.kernelize_urfc(inst, args.budget)
-    kernel = result.instance
-    tuple_bits = inst.d * inst.l * max(1, math.ceil(math.log2(kernel.graph.n + 1)))
+    kernel, (report,) = result.instance, result.reports
+    tuple_bits = report.d * report.l * max(1, math.ceil(math.log2(kernel.graph.n + 1)))
     meta = [f"constraints={kernel.constraint_count}", f"tuple_bits={tuple_bits}"]
-    return kernel, result.report.lines() + meta
+    return kernel, report.lines() + meta
 
 
 def _kernelize_gurfc(inst, args):
@@ -166,7 +166,7 @@ class Kind(NamedTuple):
     """How the CLI handles one problem kind; None where it cannot."""
 
     gen: Callable  # gen flags -> instance
-    parse: Callable | None = None  # path -> instance
+    parse: Callable | None = None  # (path, budget) -> instance
     # (instance, keywords q, mode, limit, budget) -> solutions, or a bool
     solve: Callable | None = None
     kernelize: Callable | None = None  # (instance, flags) -> (kernel, metadata lines)
@@ -177,7 +177,7 @@ KINDS = {
         gen=lambda a: generate.gen_urfc(
             *_flags(a, "n", "d", "l", "q"), a.density, a.edge_density, a.seed
         ),
-        parse=lambda path: parse_urfc(_read(path)),
+        parse=lambda path, budget: parse_urfc(_read(path)),
         solve=lambda inst, budget, **_: oracles.solve_urfc(inst, budget=budget),
         kernelize=_kernelize_urfc,
     ),
@@ -185,24 +185,28 @@ KINDS = {
         gen=lambda a: generate.gen_gurfc(
             *_flags(a, "n", "q"), _parse_blocks(a), a.density, a.edge_density, a.seed
         ),
-        parse=lambda path: parse_gurfc(_read(path)),
+        parse=lambda path, budget: parse_gurfc(_read(path)),
         solve=lambda inst, budget, **_: oracles.solve_urfc(inst, budget=budget),
         kernelize=_kernelize_gurfc,
     ),
     "rcc": Kind(
         gen=lambda a: _gen_over_relation(a, generate.gen_rcc),
-        parse=lambda path: parse_rcc(_read(path), _relation_loader_for(path)),
+        parse=lambda path, budget: parse_rcc(
+            _read(path), _relation_loader_for(path), budget
+        ),
         solve=lambda inst, limit, budget, **_: oracles.solve_rcc(inst, limit, budget),
         kernelize=_kernelize_rcc,
     ),
     "rclc": Kind(
         gen=lambda a: _gen_over_relation(a, generate.gen_rclc),
-        parse=lambda path: parse_rclc(_read(path), _relation_loader_for(path)),
+        parse=lambda path, budget: parse_rclc(
+            _read(path), _relation_loader_for(path), budget
+        ),
         solve=lambda inst, limit, budget, **_: oracles.solve_rclc(inst, limit, budget),
     ),
     "cnf": Kind(
         gen=lambda a: generate.gen_cnf(*_flags(a, "n", "k", "count"), a.seed),
-        parse=lambda path: parse_cnf(_read(path)),
+        parse=lambda path, budget: parse_cnf(_read(path)),
         solve=lambda inst, mode, limit, budget, **_: oracles.solve_cnf(
             inst, mode, limit, budget
         ),
@@ -215,7 +219,7 @@ KINDS = {
             a.edge_density,
             a.density,
         ),
-        parse=lambda path: parse_cliquekv(_read(path)),
+        parse=lambda path, budget: parse_cliquekv(_read(path)),
         solve=lambda inst, q, budget, **_: oracles.cliquekv_colorable(
             inst, _require(q, "--q"), budget
         ),
@@ -223,7 +227,7 @@ KINDS = {
     ),
     "hypergraph": Kind(
         gen=lambda a: generate.gen_hypergraph(*_flags(a, "n", "l"), a.density, a.seed),
-        parse=lambda path: parse_hypergraph(_read(path)),
+        parse=lambda path, budget: parse_hypergraph(_read(path)),
         solve=lambda inst, q, limit, budget, **_: oracles.solve_hypergraph_qcol(
             inst, _require(q, "--q"), limit, budget
         ),
@@ -312,7 +316,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     row = _kind(args.problem, "solve", "solve")
-    inst = row.parse(args.inputs[0])
+    inst = row.parse(args.inputs[0], args.budget)
     limit = None if args.show_count else 1
     found = row.solve(inst, q=args.q, mode=args.mode, limit=limit, budget=args.budget)
     print("YES" if found else "NO")
@@ -330,14 +334,14 @@ def _write_with_header(path: str | None, lines: list[str], inst) -> None:
 
 def cmd_kernelize(args) -> int:
     row = _kind(args.problem, "kernelize", "kernelize")
-    kernel, meta = row.kernelize(row.parse(args.inputs[0]), args)
+    kernel, meta = row.kernelize(row.parse(args.inputs[0], args.budget), args)
     _write_with_header(args.output, meta, kernel)
     return 0
 
 
 def cmd_reduce(args) -> int:
     source, _, _, reduce = TRANSFORMS[args.transform]
-    inst, report = reduce(KINDS[source].parse(args.inputs[0]), args)
+    inst, report = reduce(KINDS[source].parse(args.inputs[0], args.budget), args)
     _write_with_header(args.output, report.lines(), inst)
     return 0
 
@@ -345,7 +349,7 @@ def cmd_reduce(args) -> int:
 def _answer(row: Kind, path: str, q, mode, limit, budget):
     """The solution set (limit None; yes/no where the oracle only decides) or
     the yes/no answer (limit 1) of the instance at ``path``, and its palette."""
-    inst = row.parse(path)
+    inst = row.parse(path, budget)
     sols = row.solve(inst, q=q, mode=mode, limit=limit, budget=budget)
     kept = getattr(sols, "colorings", sols) if limit is None else bool(sols)
     return kept, getattr(inst, "q", q)

@@ -20,7 +20,6 @@ from .instances import (
     ListAssignment,
     RccInstance,
     RclcInstance,
-    UrfcInstance,
 )
 from .relations import Relation, UrfcShape
 
@@ -65,12 +64,9 @@ def gen_urfc(
     density: float = 0.5,
     edge_density: float = 0.3,
     seed: int = 0,
-) -> UrfcInstance:
-    UrfcShape(d, l, q)
-    rng = random.Random(seed)
-    edges = _edges(rng, n, edge_density)
-    tuples = _sample(rng, _all_tuples(n, d, l), density)
-    return UrfcInstance(Graph(n, tuple(edges)), q, d, l, tuple(tuples))
+) -> GurfcInstance:
+    """The one-block instance of gen_gurfc."""
+    return gen_gurfc(n, q, [(d, l)], density, edge_density, seed)
 
 
 def gen_gurfc(
@@ -81,13 +77,13 @@ def gen_gurfc(
     edge_density: float = 0.3,
     seed: int = 0,
 ) -> GurfcInstance:
+    shapes = [UrfcShape(d, l, q) for d, l in shapes]  # before the pools are built
     rng = random.Random(seed)
     edges = _edges(rng, n, edge_density)
     blocks = []
-    for d, l in shapes:
-        blocks.append(
-            GurfcBlock(d, l, tuple(_sample(rng, _all_tuples(n, d, l), density)))
-        )
+    for s in shapes:
+        tuples = _sample(rng, _all_tuples(n, s.d, s.l), density)
+        blocks.append(GurfcBlock(s.d, s.l, tuple(tuples)))
     return GurfcInstance(Graph(n, tuple(edges)), q, tuple(blocks))
 
 

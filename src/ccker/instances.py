@@ -30,7 +30,6 @@ __all__ = [
     "ListAssignment",
     "RccInstance",
     "RclcInstance",
-    "UrfcInstance",
     "GurfcBlock",
     "GurfcInstance",
     "CliqueKvInstance",
@@ -230,39 +229,9 @@ def _canonical_urfc_tuples(graph: Graph, d: int, tuples, l: int):
 
 
 @dataclass(frozen=True)
-class UrfcInstance:
-    """Rainbow-free coloring instance: graph plus l-tuples of d-subsets."""
-
-    graph: Graph
-    q: int
-    d: int
-    l: int
-    tuples: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        UrfcShape(self.d, self.l, self.q)
-        object.__setattr__(
-            self,
-            "tuples",
-            _canonical_urfc_tuples(self.graph, self.d, self.tuples, self.l),
-        )
-
-    @property
-    def constraint_count(self) -> int:
-        return self.graph.m + len(self.tuples)
-
-    def flat_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """Each tuple flattened column-major, matching the NUR relation layout."""
-        return tuple(tuple(v for s in tp for v in s) for tp in self.tuples)
-
-    def as_gurfc(self) -> "GurfcInstance":
-        return GurfcInstance(
-            self.graph, self.q, (GurfcBlock(self.d, self.l, self.tuples),)
-        )
-
-
-@dataclass(frozen=True)
 class GurfcBlock:
+    """The l-tuples of d-subsets of one constraint shape."""
+
     d: int
     l: int
     tuples: tuple[tuple[tuple[int, ...], ...], ...]
@@ -270,8 +239,9 @@ class GurfcBlock:
 
 @dataclass(frozen=True)
 class GurfcInstance:
-    """Generalized rainbow-free coloring: several (d_i, l_i) constraint blocks
-    sharing one graph and color count."""
+    """Rainbow-free coloring: (d_i, l_i) constraint blocks of distinct shapes
+    sharing one graph and color count.  A urfc instance is the case of
+    exactly one block."""
 
     graph: Graph
     q: int
@@ -303,7 +273,8 @@ def canonical_subset(inst, **collections):
     A subsequence of a canonical collection (sorted, deduplicated, every
     record checked) is canonical, so the constructor is not run again.  The
     caller guarantees that each value is such a subsequence, for example the
-    tuples a kernel keeps, in their input order.
+    tuples a kernel keeps, in their input order, or blocks whose tuples are
+    such subsequences.
     """
     out = copy.copy(inst)
     for name, records in collections.items():
@@ -656,8 +627,11 @@ def parse_relation(
 
 
 def _read_relation_block(
-    reader: _Reader, relation_loader=None
+    reader: _Reader, relation_loader, budget
 ) -> tuple[Relation, UrfcShape | None]:
+    """The ``rel`` block of an rcc or rclc file.  A ``rel file=REF`` line is
+    read by ``relation_loader(REF, budget)``; every form of the relation is
+    built within the tuple budget ``budget``, as in parse_relation."""
     lineno, line = reader.next("rel line")
     parts = line.split()
     if parts[0] != "rel":
@@ -667,27 +641,31 @@ def _read_relation_block(
         raise ParseError("empty rel line", lineno)
     if body[0] == "nur":
         shape = _read_nur(reader, " ".join(body), lineno)
-        return make_nur(shape.d, shape.l, shape.q), shape
+        return make_nur(shape.d, shape.l, shape.q, budget), shape
     if body[0].startswith("file="):
         if relation_loader is None:
             raise ParseError("relation file references are not available here", lineno)
-        return relation_loader(body[0][len("file=") :])
+        return relation_loader(body[0][len("file=") :], budget)
     head = _kv_line(line, lineno, "rel", ("q", "r", "count"))
-    return _read_relation(reader, head["q"], head["r"], head["count"], None), None
+    return _read_relation(reader, head["q"], head["r"], head["count"], budget), None
 
 
-def parse_rcc(text: str, relation_loader=None) -> RccInstance:
+def parse_rcc(
+    text: str, relation_loader=None, budget: int | None = None
+) -> RccInstance:
     reader = _Reader(text)
     graph = _read_graph(reader)
-    relation, shape = _read_relation_block(reader, relation_loader)
+    relation, shape = _read_relation_block(reader, relation_loader, budget)
     constraints = reader.rest("constraint")
     return reader.build(RccInstance, graph, relation, constraints, shape)
 
 
-def parse_rclc(text: str, relation_loader=None) -> RclcInstance:
+def parse_rclc(
+    text: str, relation_loader=None, budget: int | None = None
+) -> RclcInstance:
     reader = _Reader(text)
     graph = _read_graph(reader)
-    relation, shape = _read_relation_block(reader, relation_loader)
+    relation, shape = _read_relation_block(reader, relation_loader, budget)
     lists: dict[int, frozenset] = {}
     while not reader.at_end() and reader.peek()[1].startswith("list "):
         lineno, line = reader.next("list line")
@@ -737,29 +715,32 @@ def _read_block(reader: _Reader) -> GurfcBlock:
     return GurfcBlock(d, l, tuples())
 
 
-def parse_urfc(text: str) -> UrfcInstance:
+def _read_rainbow_free(text: str, one_block: bool) -> GurfcInstance:
+    """A graph, a colors line and its blocks; with ``one_block`` a second
+    block is refused at its header, before it is read."""
     reader = _Reader(text)
     graph = _read_graph(reader)
     q = _read_colors(reader)
-    b = _read_block(reader)
-    inst = reader.build(UrfcInstance, graph, q, b.d, b.l, b.tuples)
-    if not reader.at_end():
-        raise ParseError("urfc instance must have exactly one block", reader.peek()[0])
-    return inst
-
-
-def parse_gurfc(text: str) -> GurfcInstance:
-    reader = _Reader(text)
-    graph = _read_graph(reader)
-    q = _read_colors(reader)
-    if reader.at_end():
+    if reader.at_end() and not one_block:
         raise ParseError("gurfc instance needs at least one block")
 
     def blocks():
+        yield _read_block(reader)
         while not reader.at_end():
+            if one_block:
+                message = "urfc instance must have exactly one block"
+                raise ParseError(message, reader.peek()[0])
             yield _read_block(reader)
 
     return reader.build(GurfcInstance, graph, q, blocks())
+
+
+def parse_urfc(text: str) -> GurfcInstance:
+    return _read_rainbow_free(text, one_block=True)
+
+
+def parse_gurfc(text: str) -> GurfcInstance:
+    return _read_rainbow_free(text, one_block=False)
 
 
 def parse_cliquekv(text: str) -> CliqueKvInstance:
@@ -894,13 +875,6 @@ def _relation_lines(relation: Relation, shape: UrfcShape | None) -> list[str]:
     return lines + _tuple_lines(relation)
 
 
-def _block_lines(d: int, l: int, tuples) -> list[str]:
-    lines = [f"block d={d} l={l} count={len(tuples)}"]
-    for tp in tuples:
-        lines.append(" ".join(str(v) for s in tp for v in s))
-    return lines
-
-
 def serialize(obj) -> str:
     """Canonical text form of any instance type; inverse of parse."""
     if isinstance(obj, Graph):
@@ -918,15 +892,12 @@ def serialize(obj) -> str:
         lines = _graph_lines(obj.graph)
         lines.extend(_relation_lines(obj.relation, obj.nur_shape))
         lines.extend(" ".join(map(str, t)) for t in obj.constraints)
-    elif isinstance(obj, UrfcInstance):
-        lines = _graph_lines(obj.graph)
-        lines.append(f"colors q={obj.q}")
-        lines.extend(_block_lines(obj.d, obj.l, obj.tuples))
     elif isinstance(obj, GurfcInstance):
         lines = _graph_lines(obj.graph)
         lines.append(f"colors q={obj.q}")
         for b in obj.blocks:
-            lines.extend(_block_lines(b.d, b.l, b.tuples))
+            lines.append(f"block d={b.d} l={b.l} count={len(b.tuples)}")
+            lines.extend(" ".join(str(v) for s in tp for v in s) for tp in b.tuples)
     elif isinstance(obj, CliqueKvInstance):
         lines = _graph_lines(obj.graph)
         lines.append(f"modulator k={obj.k}")
@@ -934,9 +905,7 @@ def serialize(obj) -> str:
             lines.append(" ".join(map(str, obj.modulator)))
     elif isinstance(obj, Hypergraph):
         lines = [f"hgraph n={obj.n} m={obj.m}"]
-        lines.extend(
-            f"he {len(e)} " + " ".join(map(str, e)) if e else "he 0" for e in obj.edges
-        )
+        lines.extend(f"he {len(e)} " + " ".join(map(str, e)) for e in obj.edges)
     elif isinstance(obj, CnfFormula):
         lines = [f"p cnf {obj.n} {len(obj.clauses)}"]
         lines.extend(" ".join(map(str, cl)) + " 0" for cl in obj.clauses)

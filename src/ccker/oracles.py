@@ -39,7 +39,6 @@ from .instances import (
     Hypergraph,
     RccInstance,
     RclcInstance,
-    UrfcInstance,
 )
 from .relations import _radix_weights, _uniformly_rainbow_mask
 
@@ -296,9 +295,7 @@ _CHUNK_ROWS = 1 << 13
 _TUPLE_BATCH = 512
 
 
-def solve_urfc(
-    inst: UrfcInstance | GurfcInstance, budget: int | None = None
-) -> SolutionSet:
+def solve_urfc(inst: GurfcInstance, budget: int | None = None) -> SolutionSet:
     """All proper colorings with no uniformly rainbow constraint tuple.
 
     Implemented directly on the set semantics, not on a relation.  Step k
@@ -316,8 +313,7 @@ def solve_urfc(
     for u, v in graph.edges:
         back[v - 1].append(u - 1)
     due: list[dict] = [{} for _ in range(n)]
-    blocks = inst.blocks if isinstance(inst, GurfcInstance) else (inst,)
-    for block in blocks:  # a UrfcInstance has the d, l and tuples of one block
+    for block in inst.blocks:
         shape = (block.d, block.l)
         for tp in block.tuples:
             last = max(s[-1] for s in tp) - 1

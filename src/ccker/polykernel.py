@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .instances import (
     GurfcBlock,
     GurfcInstance,
     RccInstance,
-    UrfcInstance,
     canonical_subset,
 )
 from .relations import (
@@ -59,8 +58,7 @@ __all__ = [
     "check_captures",
     "kernelize_poly",
     "KernelReport",
-    "UrfcKernelResult",
-    "GurfcKernelResult",
+    "KernelResult",
     "kernelize_urfc",
     "kernelize_gurfc",
     "kernelize_product_pruning",
@@ -302,7 +300,7 @@ def _capture_slots(cp: CapturePair):
     return slots, np.array(list(terms.values()), dtype=np.float64)
 
 
-def _monomial_ids(inst: UrfcInstance, m: int, slots: np.ndarray):
+def _monomial_ids(block: GurfcBlock, m: int, slots: np.ndarray):
     """Intern the monomials of every tuple's instantiated capture.
 
     Column ``col`` of the capture becomes the ``col``-th vertex v of the tuple,
@@ -310,12 +308,12 @@ def _monomial_ids(inst: UrfcInstance, m: int, slots: np.ndarray):
     term's variables merges the exponents of a vertex shared between sets.
     Returns ``(ids, count)`` with ids[r, t] the monomial of term t on tuple r.
     """
-    rows = len(inst.tuples)
+    rows = len(block.tuples)
     terms, width = slots.shape
-    pad = m * inst.graph.n  # sorts after every variable
     vertices = np.array(
-        [[v for s in tp for v in s] for tp in inst.tuples], dtype=np.int64
+        [[v for s in tp for v in s] for tp in block.tuples], dtype=np.int64
     )
+    pad = m * int(vertices.max())  # sorts after every variable
     valid = slots >= 0
     col = np.where(valid, slots // m, 0)
     offset = slots % m - m
@@ -429,18 +427,18 @@ def _row_rank_profile(ids, coeffs, count: int, p: int) -> list[int]:
 
 
 def kernelize_poly(
-    inst: UrfcInstance, cp: CapturePair, budget: int | None = None
-) -> UrfcInstance:
-    """Keep the greedy earliest subset of tuples whose instantiated capture
-    polynomials are linearly independent over GF(p).
+    block: GurfcBlock, cp: CapturePair, budget: int | None = None
+) -> GurfcBlock:
+    """Keep the greedy earliest subset of the block's tuples whose
+    instantiated capture polynomials are linearly independent over GF(p).
 
     The kept set is the row rank profile of the tuples x monomials
-    coefficient matrix, in canonical instance order: tuple r is kept iff its
+    coefficient matrix, in canonical block order: tuple r is kept iff its
     row is not in the span of rows 0..r-1.  That set is a property of the
     row space alone, so it depends neither on the order of the columns nor
     on how monomials are numbered, and any exact elimination reproduces it.
-    The surviving collection has the same solution set as the input and
-    size at most C(m*n + r, r).
+    The surviving collection has the same solution set as the input, on any
+    graph and with the capture's q colors, and size at most C(m*n + r, r).
 
     The engine is dense numpy.  Instantiation maps the capture's variable
     slots to global variables for all tuples at once and interns the
@@ -448,23 +446,24 @@ def kernelize_poly(
     _row_rank_profile): float64 GEMMs against the basis are exact while
     rank*(p-1)^2 < 2^53, and the int32 pivoting inside a batch while
     32*(p-1)^2 + p < 2^31, that is for p <= 8191.  A field outside either
-    bound raises ValueError.  The matrix size, rows x monomials, is charged
-    against the tuple budget (explicit, else ``CCKER_BUDGET``, else
-    DEFAULT_TUPLE_BUDGET) before elimination starts.
+    bound raises ValueError, and so does a capture of another (d, l).  The
+    matrix size, rows x monomials, is charged against the tuple budget
+    (explicit, else ``CCKER_BUDGET``, else DEFAULT_TUPLE_BUDGET) before
+    elimination starts.
     """
-    if (cp.d, cp.l, cp.q) != (inst.d, inst.l, inst.q):
+    if (cp.d, cp.l) != (block.d, block.l):
         raise ValueError(
-            f"capture shape ({cp.d},{cp.l},{cp.q}) does not match instance "
-            f"({inst.d},{inst.l},{inst.q})"
+            f"capture shape ({cp.d},{cp.l}) does not match block "
+            f"({block.d},{block.l})"
         )
-    if not inst.tuples or not cp.poly.terms:  # every row is zero
-        return canonical_subset(inst, tuples=())
+    if not block.tuples or not cp.poly.terms:  # every row is zero
+        return canonical_subset(block, tuples=())
     slots, coeffs = _capture_slots(cp)
-    ids, count = _monomial_ids(inst, cp.m, slots)
+    ids, count = _monomial_ids(block, cp.m, slots)
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
-    charge("polynomial kernel matrix", len(inst.tuples) * count, b)
+    charge("polynomial kernel matrix", len(block.tuples) * count, b)
     kept = _row_rank_profile(ids, coeffs, count, cp.field.p)
-    return canonical_subset(inst, tuples=(inst.tuples[r] for r in kept))
+    return canonical_subset(block, tuples=(block.tuples[r] for r in kept))
 
 
 # ---------------------------------------------------------------------------
@@ -488,39 +487,26 @@ class KernelReport:
     answer: bool | None = None
 
     def lines(self) -> list[str]:
-        out = [
-            f"method={self.method}",
-            f"d={self.d}",
-            f"l={self.l}",
-            f"q={self.q}",
-            f"eta={self.eta}",
-        ]
-        if self.field_p is not None:
-            out.append(f"field_p={self.field_p}")
-        if self.capture_item is not None:
-            out.append(f"capture_item={self.capture_item}")
-        if self.basis_size is not None:
-            out.append(f"basis_size={self.basis_size}")
-        if self.binom_bound is not None:
-            out.append(f"binom_bound={self.binom_bound}")
-        if self.answer is not None:
-            out.append(f"answer={'YES' if self.answer else 'NO'}")
+        """``field=value`` for each field that is set, in declaration order."""
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                if f.name == "answer":
+                    value = "YES" if value else "NO"
+                out.append(f"{f.name}={value}")
         return out
 
 
 @dataclass(frozen=True)
-class UrfcKernelResult:
-    instance: UrfcInstance
-    report: KernelReport
+class KernelResult:
+    """A kernel and the report of each of its blocks, in block order."""
 
-
-@dataclass(frozen=True)
-class GurfcKernelResult:
     instance: GurfcInstance
     reports: tuple[KernelReport, ...]
 
 
-def _solve_eta0(inst: UrfcInstance) -> bool:
+def _solve_eta0(graph: Graph, q: int, block: GurfcBlock) -> bool:
     """Polynomial-time decision for the shapes with kernel exponent 0.
 
     Under q = 1 every edge is monochromatic, and under q = 1 or d = l = 1
@@ -530,13 +516,13 @@ def _solve_eta0(inst: UrfcInstance) -> bool:
     hold at once unless a union-find (by size) that stores, per vertex,
     whether its color differs from its parent's meets a contradiction.
     """
-    graph, tuples = inst.graph, inst.tuples
-    if tuples and (inst.q == 1 or inst.d * inst.l == 1):
+    tuples = block.tuples
+    if tuples and (q == 1 or block.d * block.l == 1):
         return False
-    if inst.q == 1:
+    if q == 1:
         return not graph.m
     pairs = [(u, v, 1) for u, v in graph.edges]
-    pairs += [(tp[0][0], tp[-1][-1], int(inst.d == 1)) for tp in tuples]
+    pairs += [(tp[0][0], tp[-1][-1], int(block.d == 1)) for tp in tuples]
     parent = list(range(graph.n + 1))
     size = [1] * (graph.n + 1)
     flip = [0] * (graph.n + 1)  # the color differs from the parent's
@@ -561,61 +547,63 @@ def _solve_eta0(inst: UrfcInstance) -> bool:
     return True
 
 
-def _const_instance(answer: bool, d: int, l: int, q: int) -> UrfcInstance:
+def _const_instance(answer: bool, d: int, l: int, q: int) -> GurfcInstance:
     if answer:
-        return UrfcInstance(Graph(1, ()), q, d, l, ())
-    if q == 1:
-        return UrfcInstance(Graph(2, ((1, 2),)), q, d, l, ())
-    return UrfcInstance(Graph(3, ((1, 2), (1, 3), (2, 3))), q, d, l, ())
+        graph = Graph(1, ())
+    elif q == 1:
+        graph = Graph(2, ((1, 2),))
+    else:
+        graph = Graph(3, ((1, 2), (1, 3), (2, 3)))
+    return GurfcInstance(graph, q, (GurfcBlock(d, l, ()),))
 
 
-def kernelize_urfc(inst: UrfcInstance, budget: int | None = None) -> UrfcKernelResult:
-    """Kernelize one rainbow-free instance, dispatching on its exponent.
+def kernelize_urfc(inst: GurfcInstance, budget: int | None = None) -> KernelResult:
+    """Kernelize a one-block rainbow-free instance, dispatching on its
+    exponent; an instance with any other number of blocks is a ValueError.
 
     Exponent d*l (or the l = 1, d <= 2 shapes): deduplication only, which the
     canonical instance form already performs.  Exponents d*l - 1 and
     (d-1)*l: polynomial-basis kernel with the matching capture construction.
     Exponent 0: the instance is decided outright and a constant-size
-    equivalent instance is emitted.  In all other cases the output is
-    (G, F') with F' a subset of F and an identical solution set.  ``budget``
-    goes to kernelize_poly.
+    equivalent instance with no tuples is emitted.  In all other cases the
+    output is (G, F') with F' a subset of F and an identical solution set.
+    ``budget`` goes to kernelize_poly.
     """
-    d, l, q = inst.d, inst.l, inst.q
-    e = eta(d, l, q)
-    n = inst.graph.n
-    if e == 0:
-        answer = _solve_eta0(inst)
-        return UrfcKernelResult(
-            _const_instance(answer, d, l, q),
-            KernelReport("solved", d, l, q, e, answer=answer),
+    if len(inst.blocks) != 1:
+        raise ValueError(
+            f"urfc instance must have exactly one block, got {len(inst.blocks)}"
         )
+    (block,) = inst.blocks
+    d, l, q = block.d, block.l, inst.q
+    e = eta(d, l, q)
+    if e == 0:
+        answer = _solve_eta0(inst.graph, q, block)
+        report = KernelReport("solved", d, l, q, e, answer=answer)
+        return KernelResult(_const_instance(answer, d, l, q), (report,))
     if e == d * l or (l == 1 and d <= 2):
-        return UrfcKernelResult(inst, KernelReport("dedup", d, l, q, e))
+        return KernelResult(inst, (KernelReport("dedup", d, l, q, e),))
     cp = build_capture(d, l, q)
-    out = kernelize_poly(inst, cp, budget)
-    bound = math.comb(cp.m * n + cp.degree_bound, cp.degree_bound)
-    assert len(out.tuples) <= bound
-    return UrfcKernelResult(
-        out,
-        KernelReport(
-            "poly",
-            d,
-            l,
-            q,
-            e,
-            field_p=cp.field.p,
-            capture_item=cp.item,
-            basis_size=len(out.tuples),
-            binom_bound=bound,
-        ),
+    kept = kernelize_poly(block, cp, budget)
+    bound = math.comb(cp.m * inst.graph.n + cp.degree_bound, cp.degree_bound)
+    assert len(kept.tuples) <= bound
+    report = KernelReport(
+        "poly",
+        d,
+        l,
+        q,
+        e,
+        field_p=cp.field.p,
+        capture_item=cp.item,
+        basis_size=len(kept.tuples),
+        binom_bound=bound,
     )
+    return KernelResult(canonical_subset(inst, blocks=(kept,)), (report,))
 
 
-def kernelize_gurfc(
-    inst: GurfcInstance, budget: int | None = None
-) -> GurfcKernelResult:
-    """Kernelize each block independently and take the union; ``budget`` goes
-    to each block's kernelize_poly.
+def kernelize_gurfc(inst: GurfcInstance, budget: int | None = None) -> KernelResult:
+    """Kernelize each block independently, by kernelize_urfc on the instance
+    of that block alone, and take the union; ``budget`` goes to each block's
+    kernelize_poly.
 
     Every block must have kernel exponent at least 2; a degenerate block is
     an error rather than a silently wrong kernel.
@@ -629,13 +617,10 @@ def kernelize_gurfc(
     blocks = []
     reports = []
     for b in inst.blocks:
-        sub = UrfcInstance(inst.graph, inst.q, b.d, b.l, b.tuples)
-        result = kernelize_urfc(sub, budget)
-        blocks.append(GurfcBlock(b.d, b.l, result.instance.tuples))
-        reports.append(result.report)
-    return GurfcKernelResult(
-        GurfcInstance(inst.graph, inst.q, tuple(blocks)), tuple(reports)
-    )
+        result = kernelize_urfc(canonical_subset(inst, blocks=(b,)), budget)
+        blocks.extend(result.instance.blocks)
+        reports.extend(result.reports)
+    return KernelResult(canonical_subset(inst, blocks=blocks), tuple(reports))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from .instances import (
     ListAssignment,
     RccInstance,
     RclcInstance,
-    UrfcInstance,
 )
 from .polykernel import kernelize_gurfc
 from .relations import OrWitness, Relation, is_permutation_invariant, r_clique
@@ -253,7 +252,7 @@ def rclc_to_rcc(inst: RclcInstance) -> tuple[RccInstance, ReductionReport]:
 
 def nae_to_urfc(
     formula: CnfFormula, variant: str, width: int | None = None
-) -> tuple[UrfcInstance, ReductionReport]:
+) -> tuple[GurfcInstance, ReductionReport]:
     """Encode not-all-equal satisfiability as rainbow-free 2-coloring.
 
     The graph is the perfect matching of literal vertices (x_i at i, its
@@ -295,7 +294,7 @@ def nae_to_urfc(
                     for lit in clause[1:]
                 )
             )
-    inst = UrfcInstance(graph, 2, d, l, tuple(tuples))
+    inst = GurfcInstance(graph, 2, (GurfcBlock(d, l, tuple(tuples)),))
     report = ReductionReport(
         f"nae_to_urfc_{variant}",
         n,
@@ -307,24 +306,29 @@ def nae_to_urfc(
     return inst, report
 
 
-def urfc_to_hypergraph(inst: UrfcInstance) -> tuple[Hypergraph, ReductionReport]:
-    """Turn a singleton-shape rainbow-free instance into uniform hypergraph
-    coloring.
+def urfc_to_hypergraph(inst: GurfcInstance) -> tuple[Hypergraph, ReductionReport]:
+    """Turn a one-block singleton-shape rainbow-free instance into uniform
+    hypergraph coloring.
 
     Step one collects the graph edges and, per constraint tuple, the union of
     its singletons.  Step two adds a pad set Z of (l-1)*q fresh vertices with
     every l-subset of Z as an edge, and replaces each undersized edge e by
     all e union S for S an (l-|e|)-subset of Z.
     """
-    if inst.d != 1:
-        raise ValueError(f"transformation needs d = 1, got d = {inst.d}")
-    if inst.l < 2:
-        raise ValueError(f"transformation needs l >= 2, got l = {inst.l}")
+    if len(inst.blocks) != 1:
+        raise ValueError(
+            f"transformation needs exactly one block, got {len(inst.blocks)}"
+        )
+    (block,) = inst.blocks
+    if block.d != 1:
+        raise ValueError(f"transformation needs d = 1, got d = {block.d}")
+    if block.l < 2:
+        raise ValueError(f"transformation needs l >= 2, got l = {block.l}")
     if inst.q < 2:
         raise ValueError(f"transformation needs q >= 2, got q = {inst.q}")
-    l, q, n = inst.l, inst.q, inst.graph.n
+    l, q, n = block.l, inst.q, inst.graph.n
     small = {e for e in inst.graph.edges}
-    for tp in inst.tuples:
+    for tp in block.tuples:
         small.add(tuple(sorted({s[0] for s in tp})))
     pad = tuple(range(n + 1, n + (l - 1) * q + 1))
     edges = {tuple(sorted(c)) for c in itertools.combinations(pad, l)}

@@ -143,20 +143,21 @@ def test_kernel_size():
     for idx, (d, l, q) in enumerate(KERNEL_SHAPES):
         for inst, result in _kernel_runs(idx, d, l, q):
             n = inst.graph.n
-            if result.report.method == "poly":
-                bound = result.report.binom_bound
+            (report,) = result.reports
+            if report.method == "poly":
+                bound = report.binom_bound
             else:
                 # deduplication shape: bounded by the canonical tuple space
                 bound = math.comb(math.comb(n, d) + l - 1, l)
-            assert len(result.instance.tuples) <= bound
+            assert len(result.instance.blocks[0].tuples) <= bound
     # fully dense (2, 2, 3): the basis must beat the trivial count whenever
     # the trivial count exceeds the dimension bound
     for n in (5, 6, 7):
         inst = generate.gen_urfc(n, 2, 2, 3, 1.0, 0.3, 777 + n)
         result = kernelize_urfc(inst)
         trivial = inst.constraint_count
-        if trivial > result.report.binom_bound:
-            assert len(result.instance.tuples) < trivial
+        if trivial > result.reports[0].binom_bound:
+            assert len(result.instance.blocks[0].tuples) < trivial
 
 
 # sha256 over the serialized kernels of criteria 3 and 4, in order, as the

@@ -169,6 +169,29 @@ class TestBudgetFlag:
         assert "nur enumeration: 125 steps exceed budget 1" in capsys.readouterr().err
         assert main(argv) == 0
 
+    @pytest.mark.parametrize(
+        "problem,rel,message",
+        [
+            ("rcc", "rel nur d=1 l=3 q=5", "nur enumeration"),
+            ("rcc", "rel q=5 r=3 count=1\n1 2 3", "relation header table"),
+            ("rcc", "rel file=nur135.rel", "nur enumeration"),
+            ("rclc", "rel nur d=1 l=3 q=5\nlist 1: 1\nlist 2: 2\nlist 3: 3",
+             "nur enumeration"),
+        ],
+        ids=["rcc-nur", "rcc-listing", "rcc-file", "rclc-nur"],
+    )
+    def test_budget_reaches_the_relation_of_an_instance_file(
+        self, problem, rel, message, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("CCKER_BUDGET", raising=False)
+        (tmp_path / "nur135.rel").write_text("nur d=1 l=3 q=5\n")
+        inst = tmp_path / f"i.{problem}"
+        inst.write_text(f"graph n=3 m=0\n{rel}\n1 2 3\n")
+        argv = ["solve", "--problem", problem, str(inst)]
+        assert main(argv + ["--budget", "1"]) == 3
+        assert f"{message}: 125 steps exceed budget 1" in capsys.readouterr().err
+        assert main(argv) == 0
+
     def test_rel_block_header_charged_before_its_table(self, tmp_path, capsys):
         # a 10^8-entry table exceeds the default tuple budget of 10^7
         inst = tmp_path / "i.rcc"

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import pytest
@@ -10,16 +11,19 @@ from ccker.instances import (
     CliqueKvInstance,
     CnfFormula,
     Graph,
+    GurfcBlock,
+    GurfcInstance,
     Hypergraph,
     NotCliqueError,
     ParseError,
     RccInstance,
-    UrfcInstance,
     canonical_subset,
     canonicalize_urfc_tuple,
     parse,
+    parse_gurfc,
     parse_rcc,
     parse_relation,
+    parse_urfc,
     serialize,
     validate_clique_kv,
 )
@@ -64,12 +68,13 @@ class TestCanonicalization:
 
     def test_canonical_subset_skips_the_checks(self):
         inst = generate.gen_urfc(6, 2, 2, 3, 0.4, 0.3, 1)
-        kept = inst.tuples[::2]
+        (block,) = inst.blocks
+        kept = GurfcBlock(2, 2, block.tuples[::2])
         with mock.patch("ccker.instances._canonical_urfc_tuples") as canon:
-            sub = canonical_subset(inst, tuples=iter(kept))
+            sub = canonical_subset(inst, blocks=iter([kept]))
         canon.assert_not_called()
-        assert sub == UrfcInstance(inst.graph, inst.q, inst.d, inst.l, kept)
-        assert sub.tuples == kept and inst.tuples != kept
+        assert sub == GurfcInstance(inst.graph, inst.q, (kept,))
+        assert sub.blocks == (kept,) and block != kept
 
 
 class TestValidateCliqueKv:
@@ -192,6 +197,57 @@ class TestParseErrors:
     def test_rel_block_short_of_count(self):
         with pytest.raises(ParseError, match="end of input, expected relation tuple"):
             parse_rcc("graph n=2 m=0\nrel q=3 r=2 count=2\n1 2\n")
+
+    def test_urfc_without_a_block(self):
+        with pytest.raises(ParseError) as err:
+            parse_urfc("graph n=2 m=0\ncolors q=2\n# no block\n")
+        assert str(err.value) == "unexpected end of input, expected block header"
+        assert err.value.line is None
+
+    @pytest.mark.parametrize(
+        "second",
+        ["block d=1 l=1 count=1\n2\n", "block d=9 l=1 count=1\n2\n", "block d=x\n"],
+    )
+    def test_urfc_with_a_second_block(self, second):
+        # refused at the second block's header, whether or not it is well formed
+        text = "graph n=2 m=0\ncolors q=2\nblock d=1 l=2 count=1\n1 2\n\n" + second
+        with pytest.raises(ParseError) as err:
+            parse_urfc(text)
+        assert str(err.value) == "line 6: urfc instance must have exactly one block"
+        assert err.value.line == 6
+
+
+@st.composite
+def one_block_texts(draw):
+    """Text of one block, its sets, tuples and edges in any order and with
+    repeated tuples, as a parser meets it before canonicalization."""
+    n = draw(st.integers(0, 6))
+    q = draw(st.integers(1, 4))
+    d = draw(st.integers(1, q))
+    l = draw(st.integers(1, 3))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    tuples = []
+    if n >= d:
+        vertex_set = st.lists(st.integers(1, n), min_size=d, max_size=d, unique=True)
+        tuple_ = st.lists(vertex_set, min_size=l, max_size=l)
+        tuples = draw(st.lists(tuple_, max_size=8))
+    lines = [f"graph n={n} m={len(edges)}"]
+    lines += [f"e {u} {v}" for u, v in edges]
+    lines += [f"colors q={q}", f"block d={d} l={l} count={len(tuples)}"]
+    lines += [" ".join(str(v) for s in tp for v in s) for tp in tuples]
+    return "\n".join(lines) + "\n"
+
+
+class TestOneBlockFormat:
+    @given(one_block_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_urfc_and_gurfc_read_alike(self, text):
+        urfc, gurfc = parse_urfc(text), parse_gurfc(text)
+        assert urfc == gurfc and len(urfc.blocks) == 1
+        assert serialize(urfc) == serialize(gurfc)
+        assert parse_urfc(serialize(urfc)) == urfc
 
 
 class TestRoundTrips:

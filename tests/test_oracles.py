@@ -14,12 +14,12 @@ from ccker.instances import (
     CliqueKvInstance,
     CnfFormula,
     Graph,
+    GurfcBlock,
     GurfcInstance,
     Hypergraph,
     RccInstance,
     RclcInstance,
     ListAssignment,
-    UrfcInstance,
 )
 from ccker.oracles import (
     cliquekv_colorable,
@@ -33,13 +33,17 @@ from ccker.oracles import (
 from ccker.relations import Relation, is_uniformly_rainbow, make_nur
 
 
+def urfc(graph, q, d, l, tuples):
+    """The instance of one (d, l) block."""
+    return GurfcInstance(graph, q, (GurfcBlock(d, l, tuples),))
+
+
 def urfc_predicate(inst, coloring):
     """Direct evaluation of the rainbow-free acceptance condition."""
     for u, v in inst.graph.edges:
         if coloring[u - 1] == coloring[v - 1]:
             return False
-    blocks = inst.blocks if isinstance(inst, GurfcInstance) else (inst,)
-    for block in blocks:
+    for block in inst.blocks:
         for tp in block.tuples:
             flat = [coloring[v - 1] for s in tp for v in s]
             if is_uniformly_rainbow(flat, block.d, block.l):
@@ -62,8 +66,7 @@ def rainbow_free_reference(inst):
     grid = np.array(list(every), dtype=np.int64).reshape(q**n, n)
     for u, v in inst.graph.edges:
         grid = grid[grid[:, u - 1] != grid[:, v - 1]]
-    blocks = inst.blocks if isinstance(inst, GurfcInstance) else (inst,)
-    for block in blocks:
+    for block in inst.blocks:
         d, l = block.d, block.l
         sets = np.array(block.tuples, dtype=np.int64).reshape(-1, l, d) - 1
         step = max(1, (1 << 20) // max(1, len(grid) * l * d))
@@ -78,7 +81,7 @@ def rainbow_free_reference(inst):
 
 @st.composite
 def rainbow_free_instances(draw):
-    """Urfc and mixed-block gurfc instances, n=0..7 and q=1..4, with tuple
+    """One-block and mixed-block instances, n=0..7 and q=1..4, with tuple
     densities from none to every tuple of each shape."""
     n = draw(st.integers(0, 7))
     q = draw(st.integers(1, 4))
@@ -87,9 +90,6 @@ def rainbow_free_instances(draw):
     density = draw(st.sampled_from((0.0, 0.1, 0.4, 1.0)))
     edge_density = draw(st.sampled_from((0.0, 0.2, 0.6)))
     seed = draw(st.integers(0, 2**16))
-    if len(shapes) == 1 and draw(st.booleans()):
-        (d, l), = shapes
-        return generate.gen_urfc(n, d, l, q, density, edge_density, seed)
     return generate.gen_gurfc(n, q, shapes, density, edge_density, seed)
 
 
@@ -209,13 +209,13 @@ class TestSolveRclc:
 
 class TestSolveUrfc:
     def test_single_rainbow_set_excluded(self):
-        inst = UrfcInstance(Graph(3, ()), 3, 3, 1, (((1, 2, 3),),))
+        inst = urfc(Graph(3, ()), 3, 3, 1, (((1, 2, 3),),))
         sols = solve_urfc(inst)
         assert len(sols) == 27 - 6
         assert all(len(set(c)) < 3 for c in sols)
 
     def test_constant_coloring_survives(self):
-        inst = UrfcInstance(Graph(4, ()), 3, 2, 1, (((1, 2),), ((3, 4),)))
+        inst = urfc(Graph(4, ()), 3, 2, 1, (((1, 2),), ((3, 4),)))
         sols = solve_urfc(inst)
         assert (1, 1, 1, 1) in sols
         assert [2, 2, 3, 3] in sols
@@ -243,18 +243,19 @@ class TestSolveUrfc:
             inst = generate.gen_urfc(
                 n, d, l, q, rng.random(), rng.random() * 0.5, rng.randint(0, 10**6)
             )
-            rcc = RccInstance(inst.graph, make_nur(d, l, q), inst.flat_tuples())
+            flat = [[v for s in tp for v in s] for tp in inst.blocks[0].tuples]
+            rcc = RccInstance(inst.graph, make_nur(d, l, q), flat)
             assert solve_urfc(inst).colorings == solve_rcc(rcc).colorings
 
     def test_gurfc_blocks_intersect(self):
         inst = generate.gen_gurfc(5, 3, [(2, 2), (1, 2)], 0.5, 0.3, 4)
         sols = solve_urfc(inst)
         for block in inst.blocks:
-            sub = UrfcInstance(inst.graph, inst.q, block.d, block.l, block.tuples)
+            sub = GurfcInstance(inst.graph, inst.q, (block,))
             assert set(sols.colorings) <= set(solve_urfc(sub).colorings)
 
     def test_empty_graph(self):
-        inst = UrfcInstance(Graph(0, ()), 2, 1, 2, ())
+        inst = urfc(Graph(0, ()), 2, 1, 2, ())
         assert solve_urfc(inst).colorings == ((),)
 
     @settings(max_examples=150, deadline=None)
@@ -290,13 +291,13 @@ class TestSolveUrfc:
 
     def test_unconstrained_lists_every_coloring_in_order(self):
         # 3^9 rows, more than one conversion chunk
-        inst = UrfcInstance(Graph(9, ()), 3, 1, 2, ())
+        inst = urfc(Graph(9, ()), 3, 1, 2, ())
         every = tuple(itertools.product(range(1, 4), repeat=9))
         assert solve_urfc(inst).colorings == every
 
     def test_budget_charged_before_pruning(self):
         # a 2-colored triangle is refuted at vertex 3, but 2^3 is charged first
-        inst = UrfcInstance(Graph(3, ((1, 2), (1, 3), (2, 3))), 2, 1, 2, ())
+        inst = urfc(Graph(3, ((1, 2), (1, 3), (2, 3))), 2, 1, 2, ())
         with pytest.raises(BudgetExceededError, match="coloring enumeration"):
             solve_urfc(inst, budget=2**3 - 1)
         assert not solve_urfc(inst, budget=2**3).is_yes

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,7 +11,13 @@ from hypothesis import strategies as st
 
 from ccker import generate
 from ccker.budget import BudgetExceededError
-from ccker.instances import Graph, GurfcBlock, GurfcInstance, RccInstance, UrfcInstance
+from ccker.instances import (
+    Graph,
+    GurfcBlock,
+    GurfcInstance,
+    RccInstance,
+    canonical_subset,
+)
 from ccker.oracles import solve_urfc
 from ccker.polykernel import (
     CapturePair,
@@ -30,7 +37,12 @@ from ccker.polykernel import _check_exact, _ones_det
 from ccker.relations import _radix_weights, make_nur
 
 
-def reference_kernel_tuples(inst, cp):
+def urfc(graph, q, d, l, tuples):
+    """The instance of one (d, l) block."""
+    return GurfcInstance(graph, q, (GurfcBlock(d, l, tuples),))
+
+
+def reference_kernel_tuples(block, cp):
     """The sparse dict engine that kernelize_poly used before the dense one:
     instantiate each tuple's capture polynomial term by term, then keep the
     row basis in reduced row-echelon form.  Returns the kept tuples."""
@@ -43,7 +55,7 @@ def reference_kernel_tuples(inst, cp):
     keys: list = []
     pivot_rows: dict = {}
     kept = []
-    for tp in inst.tuples:
+    for tp in block.tuples:
         base = [(v - 1) * m for v in (v for s in tp for v in s)]
         poly: dict = {}
         for coeff, tvars in terms:
@@ -316,9 +328,8 @@ class TestCapture:
 
 class TestKernelizePoly:
     def test_empty_collection(self):
-        inst = UrfcInstance(Graph(4, ()), 3, 2, 2, ())
-        out = kernelize_poly(inst, build_capture(2, 2, 3))
-        assert out.tuples == ()
+        out = kernelize_poly(GurfcBlock(2, 2, ()), build_capture(2, 2, 3))
+        assert out == GurfcBlock(2, 2, ())
 
     def test_zero_capture_keeps_nothing(self):
         cp = build_capture(2, 2, 3)
@@ -326,13 +337,15 @@ class TestKernelizePoly:
             cp.field, cp.m, cp.d, cp.l, cp.q, cp.colors, SparsePoly(cp.field.p),
             cp.item, cp.degree_bound,
         )
-        inst = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1)
-        assert kernelize_poly(inst, zero).tuples == ()
+        (block,) = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1).blocks
+        assert kernelize_poly(block, zero).tuples == ()
 
     def test_shape_mismatch(self):
-        inst = UrfcInstance(Graph(4, ()), 3, 2, 2, ())
-        with pytest.raises(ValueError):
-            kernelize_poly(inst, build_capture(2, 2, 2))
+        # a block has no q, so only a capture of another (d, l) is refused
+        (block,) = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1).blocks
+        for d, l, q in [(2, 3, 3), (3, 2, 3), (3, 1, 4)]:
+            with pytest.raises(ValueError, match="does not match block"):
+                kernelize_poly(block, build_capture(d, l, q))
 
     def test_solution_preservation_random(self):
         rng = random.Random(17)
@@ -342,21 +355,23 @@ class TestKernelizePoly:
                 inst = generate.gen_urfc(
                     6, d, l, q, rng.random(), 0.3, rng.randint(0, 10**6)
                 )
-                out = kernelize_poly(inst, cp)
-                assert set(out.tuples) <= set(inst.tuples)
-                assert solve_urfc(inst).colorings == solve_urfc(out).colorings
+                (block,) = inst.blocks
+                out = kernelize_poly(block, cp)
+                assert set(out.tuples) <= set(block.tuples)
+                kernel = canonical_subset(inst, blocks=(out,))
+                assert solve_urfc(inst).colorings == solve_urfc(kernel).colorings
 
     def test_basis_bound(self):
         cp = build_capture(2, 2, 3)
         inst = generate.gen_urfc(6, 2, 2, 3, 1.0, 0.2, 3)
-        out = kernelize_poly(inst, cp)
+        out = kernelize_poly(inst.blocks[0], cp)
         n = inst.graph.n
         assert len(out.tuples) <= math.comb(cp.m * n + cp.degree_bound, cp.degree_bound)
 
     def test_deterministic(self):
         cp = build_capture(2, 2, 3)
-        inst = generate.gen_urfc(6, 2, 2, 3, 0.8, 0.2, 9)
-        assert kernelize_poly(inst, cp) == kernelize_poly(inst, cp)
+        (block,) = generate.gen_urfc(6, 2, 2, 3, 0.8, 0.2, 9).blocks
+        assert kernelize_poly(block, cp) == kernelize_poly(block, cp)
 
     def test_exactness_guards(self):
         # 8191 is the largest prime whose batch updates fit int32
@@ -370,17 +385,17 @@ class TestKernelizePoly:
 
     def test_large_field_refused(self):
         cp = build_capture(2, 2, 3, PrimeField(8209))
-        inst = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1)
+        (block,) = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1).blocks
         with pytest.raises(ValueError, match="int32"):
-            kernelize_poly(inst, cp)
+            kernelize_poly(block, cp)
 
     def test_matrix_charged_against_budget(self):
         cp = build_capture(2, 2, 3)
-        inst = generate.gen_urfc(6, 2, 2, 3, 0.5, 0.3, 1)
-        full = kernelize_poly(inst, cp)
+        (block,) = generate.gen_urfc(6, 2, 2, 3, 0.5, 0.3, 1).blocks
+        full = kernelize_poly(block, cp)
         with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
-            kernelize_poly(inst, cp, budget=len(inst.tuples))
-        assert kernelize_poly(inst, cp, budget=10**6) == full
+            kernelize_poly(block, cp, budget=len(block.tuples))
+        assert kernelize_poly(block, cp, budget=10**6) == full
 
     @given(st.data())
     @settings(
@@ -396,9 +411,9 @@ class TestKernelizePoly:
             st.lists(st.lists(vertex_set, min_size=l, max_size=l), max_size=80),
             label="tuples",
         )
-        inst = UrfcInstance(Graph(n, ()), q, d, l, tuples)
+        (block,) = urfc(Graph(n, ()), q, d, l, tuples).blocks
         cp = build_capture(d, l, q)
-        assert kernelize_poly(inst, cp).tuples == reference_kernel_tuples(inst, cp)
+        assert kernelize_poly(block, cp).tuples == reference_kernel_tuples(block, cp)
 
     @pytest.mark.parametrize(
         "d,l,q,n", [(2, 2, 2, 8), (2, 3, 2, 6), (2, 2, 3, 7), (3, 1, 4, 11), (4, 1, 5, 10)]
@@ -406,12 +421,12 @@ class TestKernelizePoly:
     def test_dependent_runs_match_reference(self, d, l, q, n):
         # every tuple of a small space: the rank saturates early, so long runs
         # of consecutive tuples (whole elimination batches) are dependent
-        inst = generate.gen_urfc(n, d, l, q, 1.0, 0.0, 0)
+        (block,) = generate.gen_urfc(n, d, l, q, 1.0, 0.0, 0).blocks
         cp = build_capture(d, l, q)
-        kept = kernelize_poly(inst, cp).tuples
-        assert kept == reference_kernel_tuples(inst, cp)
-        index = {tp: i for i, tp in enumerate(inst.tuples)}
-        marks = [-1] + [index[tp] for tp in kept] + [len(inst.tuples)]
+        kept = kernelize_poly(block, cp).tuples
+        assert kept == reference_kernel_tuples(block, cp)
+        index = {tp: i for i, tp in enumerate(block.tuples)}
+        marks = [-1] + [index[tp] for tp in kept] + [len(block.tuples)]
         assert max(b - a for a, b in zip(marks, marks[1:])) > 64
 
 
@@ -422,32 +437,35 @@ class TestKernelizeUrfc:
     def test_dedup_shape_returns_input(self):
         inst = generate.gen_urfc(6, 1, 2, 3, 0.6, 0.3, 1)
         result = kernelize_urfc(inst)
-        assert result.report.method == "dedup"
+        assert [r.method for r in result.reports] == ["dedup"]
         assert result.instance == inst
 
     def test_poly_shape(self):
         inst = generate.gen_urfc(6, 2, 2, 3, 0.9, 0.3, 2)
         result = kernelize_urfc(inst)
-        assert result.report.method == "poly"
-        assert result.report.capture_item == 3
-        assert result.report.basis_size == len(result.instance.tuples)
+        (report,) = result.reports
+        assert report.method == "poly"
+        assert report.capture_item == 3
+        assert report.basis_size == len(result.instance.blocks[0].tuples)
         n = inst.graph.n
-        assert result.report.binom_bound == math.comb(3 * n + 3, 3)
+        assert report.binom_bound == math.comb(3 * n + 3, 3)
         assert solve_urfc(inst).colorings == solve_urfc(result.instance).colorings
 
     def test_idempotent(self):
         inst = generate.gen_urfc(6, 2, 2, 3, 0.9, 0.3, 8)
         once = kernelize_urfc(inst)
         twice = kernelize_urfc(once.instance)
-        assert twice.instance.tuples == once.instance.tuples
+        assert twice.instance == once.instance
 
     @staticmethod
     def check_eta0(inst):
         result = kernelize_urfc(inst)
-        assert result.report.method == "solved"
-        assert result.report.answer == solve_urfc(inst).is_yes
-        assert solve_urfc(result.instance).is_yes == result.report.answer
+        (report,) = result.reports
+        assert report.method == "solved"
+        assert report.answer == solve_urfc(inst).is_yes
+        assert solve_urfc(result.instance).is_yes == report.answer
         assert result.instance.graph.n <= 3
+        assert [b.tuples for b in result.instance.blocks] == [()]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_eta0_merge_shape(self, seed):
@@ -482,42 +500,53 @@ class TestKernelizeUrfc:
                 ),
                 label="tuples",
             )
-        self.check_eta0(UrfcInstance(graph, q, d, l, tuples))
+        self.check_eta0(urfc(graph, q, d, l, tuples))
 
     def test_eta0_single_set_shape(self):
-        yes = UrfcInstance(Graph(2, ((1, 2),)), 2, 1, 1, ())
-        assert kernelize_urfc(yes).report.answer is True
-        no = UrfcInstance(Graph(2, ()), 2, 1, 1, (((1,),),))
-        assert kernelize_urfc(no).report.answer is False
+        yes = urfc(Graph(2, ((1, 2),)), 2, 1, 1, ())
+        assert kernelize_urfc(yes).reports[0].answer is True
+        no = urfc(Graph(2, ()), 2, 1, 1, (((1,),),))
+        assert kernelize_urfc(no).reports[0].answer is False
 
     def test_eta0_one_color(self):
-        yes = UrfcInstance(Graph(3, ()), 1, 1, 2, ())
-        assert kernelize_urfc(yes).report.answer is True
-        no_edge = UrfcInstance(Graph(3, ((1, 2),)), 1, 1, 2, ())
-        assert kernelize_urfc(no_edge).report.answer is False
-        no_tuple = UrfcInstance(Graph(3, ()), 1, 1, 2, (((1,), (2,)),))
-        assert kernelize_urfc(no_tuple).report.answer is False
+        yes = urfc(Graph(3, ()), 1, 1, 2, ())
+        assert kernelize_urfc(yes).reports[0].answer is True
+        no_edge = urfc(Graph(3, ((1, 2),)), 1, 1, 2, ())
+        assert kernelize_urfc(no_edge).reports[0].answer is False
+        no_tuple = urfc(Graph(3, ()), 1, 1, 2, (((1,), (2,)),))
+        assert kernelize_urfc(no_tuple).reports[0].answer is False
 
     def test_trivial_small_arity_shape(self):
         inst = generate.gen_urfc(6, 2, 1, 4, 0.5, 0.3, 3)
         result = kernelize_urfc(inst)
-        assert result.report.method == "dedup"
+        assert [r.method for r in result.reports] == ["dedup"]
+
+    @pytest.mark.parametrize("shapes", [[], [(2, 2), (1, 2)]])
+    def test_refuses_other_block_counts(self, shapes):
+        inst = generate.gen_gurfc(5, 3, shapes, 0.5, 0.3, 1)
+        with pytest.raises(ValueError, match="exactly one block"):
+            kernelize_urfc(inst)
 
 
 class TestKernelizeGurfc:
     def test_budget_reaches_kernel_matrix(self):
-        inst = generate.gen_urfc(6, 2, 2, 3, 0.5, 0.3, 1).as_gurfc()
+        inst = generate.gen_urfc(6, 2, 2, 3, 0.5, 0.3, 1)
         with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
             kernelize_gurfc(inst, budget=10)
         with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
-            kernelize_urfc(generate.gen_urfc(6, 2, 2, 3, 0.5, 0.3, 1), budget=10)
+            kernelize_urfc(inst, budget=10)
         assert kernelize_gurfc(inst, budget=10**6) == kernelize_gurfc(inst)
 
     def test_single_block_matches_urfc(self):
         inst = generate.gen_urfc(6, 2, 2, 3, 0.8, 0.3, 5)
-        direct = kernelize_urfc(inst)
-        viag = kernelize_gurfc(inst.as_gurfc())
-        assert viag.instance.blocks[0].tuples == direct.instance.tuples
+        assert kernelize_gurfc(inst) == kernelize_urfc(inst)
+
+    def test_blocks_are_not_canonicalized_again(self):
+        inst = generate.gen_gurfc(6, 3, [(2, 2), (1, 2)], 0.6, 0.3, 7)
+        with mock.patch("ccker.instances._canonical_urfc_tuples") as canon:
+            result = kernelize_gurfc(inst)
+        canon.assert_not_called()
+        assert [r.method for r in result.reports] == ["poly", "dedup"]
 
     def test_mixed_blocks_preserve_solutions(self):
         rng = random.Random(23)

@@ -14,7 +14,6 @@ from ccker.instances import (
     Hypergraph,
     ListAssignment,
     RclcInstance,
-    UrfcInstance,
 )
 from ccker.oracles import (
     cliquekv_colorable,
@@ -37,6 +36,11 @@ from ccker.reductions import (
     urfc_to_hypergraph,
 )
 from ccker.relations import make_nur, nur_or_witness
+
+
+def urfc(graph, q, d, l, tuples):
+    """The instance of one (d, l) block."""
+    return GurfcInstance(graph, q, (GurfcBlock(d, l, tuples),))
 
 
 def full_lists(q, n):
@@ -180,18 +184,21 @@ class TestNaeToUrfc:
         inst, report = nae_to_urfc(formula, "singletons")
         assert inst.graph.n == 8 and inst.graph.m == 4
         assert inst.graph.edges == tuple((i, 4 + i) for i in range(1, 5))
-        assert (inst.d, inst.l) == (1, 3)
+        (block,) = inst.blocks
+        assert (block.d, block.l) == (1, 3)
         assert report.multiplicative == 2
 
     def test_pairs_shape(self):
         formula = generate.gen_cnf(4, 3, 3, 0)
         inst, _ = nae_to_urfc(formula, "pairs")
-        assert (inst.d, inst.l) == (2, 2)
+        (block,) = inst.blocks
+        assert (block.d, block.l) == (2, 2)
 
     def test_width_two_pairs_variant(self):
         formula = CnfFormula(2, ((1, 2),))
         inst, _ = nae_to_urfc(formula, "pairs")
-        assert (inst.d, inst.l) == (2, 1)
+        (block,) = inst.blocks
+        assert (block.d, block.l) == (2, 1)
         assert len(solve_urfc(inst)) == len(solve_cnf(formula, "nae"))
 
     def test_counts_match_both_variants(self):
@@ -213,41 +220,47 @@ class TestNaeToUrfc:
         with pytest.raises(ValueError):
             nae_to_urfc(CnfFormula(2, ()), "singletons")
         inst, _ = nae_to_urfc(CnfFormula(2, ()), "singletons", width=3)
-        assert inst.l == 3
+        assert [b.l for b in inst.blocks] == [3]
 
 
 class TestUrfcToHypergraph:
     def test_pad_size(self):
-        inst = UrfcInstance(Graph(4, ()), 3, 1, 3, (((1,), (2,), (3,)),))
+        inst = urfc(Graph(4, ()), 3, 1, 3, (((1,), (2,), (3,)),))
         h, report = urfc_to_hypergraph(inst)
         assert h.n == 4 + 6
         assert report.additive == 6
         assert h.is_uniform(3)
 
     def test_plain_tuples_stay_as_edges(self):
-        inst = UrfcInstance(Graph(4, ()), 3, 1, 3, (((1,), (2,), (3,)),))
+        inst = urfc(Graph(4, ()), 3, 1, 3, (((1,), (2,), (3,)),))
         h, _ = urfc_to_hypergraph(inst)
         assert (1, 2, 3) in h.edges
 
     def test_degenerate_tuple_padded(self):
         # both singletons name the same vertex: the union has size 1
-        inst = UrfcInstance(Graph(2, ()), 2, 1, 2, (((1,), (1,)),))
+        inst = urfc(Graph(2, ()), 2, 1, 2, (((1,), (1,)),))
         h, _ = urfc_to_hypergraph(inst)
         assert h.is_uniform(2)
         assert not solve_urfc(inst).is_yes
         assert not solve_hypergraph_qcol(h, 2, limit=1).is_yes
 
     def test_graph_edges_padded(self):
-        inst = UrfcInstance(Graph(3, ((1, 2),)), 3, 1, 3, ())
+        inst = urfc(Graph(3, ((1, 2),)), 3, 1, 3, ())
         h, _ = urfc_to_hypergraph(inst)
         assert all(len(e) == 3 for e in h.edges)
         assert any(set(e) >= {1, 2} for e in h.edges)
 
+    @pytest.mark.parametrize("shapes", [[], [(1, 3), (1, 2)]])
+    def test_requires_one_block(self, shapes):
+        inst = generate.gen_gurfc(4, 3, shapes, 0.5, 0.3, 1)
+        with pytest.raises(ValueError, match="exactly one block"):
+            urfc_to_hypergraph(inst)
+
     def test_requires_singleton_shape(self):
         with pytest.raises(ValueError):
-            urfc_to_hypergraph(UrfcInstance(Graph(4, ()), 3, 2, 2, ()))
+            urfc_to_hypergraph(urfc(Graph(4, ()), 3, 2, 2, ()))
         with pytest.raises(ValueError):
-            urfc_to_hypergraph(UrfcInstance(Graph(4, ()), 3, 1, 1, ()))
+            urfc_to_hypergraph(urfc(Graph(4, ()), 3, 1, 1, ()))
 
     def test_random_oracle_pairs(self):
         rng = random.Random(37)
