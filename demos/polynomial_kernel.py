@@ -12,7 +12,7 @@ from ccker.generate import gen_urfc
 # color patterns.  For (d, l, q) = (2, 2, 3) the q = d + 1 construction
 # applies, with degree at most d*l - 1 = 3.
 cp = build_capture(2, 2, 3)
-print(f"capture pair for (2,2,3): item {cp.item}, field GF({cp.field.p})")
+print(f"capture pair for (2,2,3): item {cp.item}, field GF({cp.p})")
 print(f"  color vectors: {cp.colors}")
 print(f"  polynomial: {len(cp.poly.terms)} monomials, degree {cp.poly.degree}")
 print("  exhaustive capture check:", check_captures(cp))

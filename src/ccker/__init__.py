@@ -20,7 +20,6 @@ from .instances import (
     NotCliqueError,
     ParseError,
     RccInstance,
-    RclcInstance,
     canonicalize_urfc_tuple,
     parse,
     serialize,
@@ -41,7 +40,6 @@ from .polykernel import (
     CaptureUnavailableError,
     KernelReport,
     KernelResult,
-    PrimeField,
     SparsePoly,
     build_capture,
     check_captures,

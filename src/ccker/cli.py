@@ -177,7 +177,7 @@ KINDS = {
         gen=lambda a: generate.gen_urfc(
             *_flags(a, "n", "d", "l", "q"), a.density, a.edge_density, a.seed
         ),
-        parse=lambda path, budget: parse_urfc(_read(path)),
+        parse=lambda path, budget: parse_urfc(_read(path), budget),
         solve=lambda inst, budget, **_: oracles.solve_urfc(inst, budget=budget),
         kernelize=_kernelize_urfc,
     ),
@@ -185,7 +185,7 @@ KINDS = {
         gen=lambda a: generate.gen_gurfc(
             *_flags(a, "n", "q"), _parse_blocks(a), a.density, a.edge_density, a.seed
         ),
-        parse=lambda path, budget: parse_gurfc(_read(path)),
+        parse=lambda path, budget: parse_gurfc(_read(path), budget),
         solve=lambda inst, budget, **_: oracles.solve_urfc(inst, budget=budget),
         kernelize=_kernelize_gurfc,
     ),
@@ -219,7 +219,7 @@ KINDS = {
             a.edge_density,
             a.density,
         ),
-        parse=lambda path, budget: parse_cliquekv(_read(path)),
+        parse=lambda path, budget: parse_cliquekv(_read(path), budget),
         solve=lambda inst, q, budget, **_: oracles.cliquekv_colorable(
             inst, _require(q, "--q"), budget
         ),
@@ -251,7 +251,7 @@ def _sat_to_rclc(formula, args):
     width = formula.width
     if width is None:
         raise ValueError("formula must have uniform clause width")
-    witness = find_or_witness(relation, width)
+    witness = find_or_witness(relation, width, args.budget)
     if witness is None:
         raise ValueError(f"relation admits no OR witness of arity {width}")
     return reductions.sat_to_rclc(formula, relation, witness)
@@ -297,7 +297,7 @@ def cmd_analyze(args) -> int:
     k = max_or_arity(relation, budget=args.budget)
     print(f"max_or_arity={k}")
     if k:
-        witness = find_or_witness(relation, k)
+        witness = find_or_witness(relation, k, args.budget)
         print(f"witness_positions={' '.join(map(str, witness.positions))}")
         print(f"witness_alpha={' '.join(map(str, witness.alpha))}")
         print(f"witness_beta={' '.join(map(str, witness.beta))}")

@@ -19,7 +19,6 @@ from .instances import (
     Hypergraph,
     ListAssignment,
     RccInstance,
-    RclcInstance,
 )
 from .relations import Relation, UrfcShape
 
@@ -87,6 +86,24 @@ def gen_gurfc(
     return GurfcInstance(Graph(n, tuple(edges)), q, tuple(blocks))
 
 
+def _gen_constrained(
+    n, relation, density, edge_density, seed, nur_shape, with_lists
+) -> RccInstance:
+    """Edges, then constraints, then with ``with_lists`` one nonempty list per
+    vertex, all drawn from one generator."""
+    rng = random.Random(seed)
+    edges = _edges(rng, n, edge_density)
+    pool = list(itertools.product(range(1, n + 1), repeat=relation.r))
+    constraints = _sample(rng, pool, density)
+    lists = None
+    if with_lists:
+        q = relation.q
+        draws = (rng.sample(range(1, q + 1), rng.randint(1, q)) for _ in range(n))
+        lists = ListAssignment(q, tuple(map(frozenset, draws)))
+    graph = Graph(n, tuple(edges))
+    return RccInstance(graph, relation, tuple(constraints), nur_shape, lists)
+
+
 def gen_rcc(
     n: int,
     relation: Relation,
@@ -95,11 +112,9 @@ def gen_rcc(
     seed: int = 0,
     nur_shape: UrfcShape | None = None,
 ) -> RccInstance:
-    rng = random.Random(seed)
-    edges = _edges(rng, n, edge_density)
-    pool = list(itertools.product(range(1, n + 1), repeat=relation.r))
-    constraints = _sample(rng, pool, density)
-    return RccInstance(Graph(n, tuple(edges)), relation, tuple(constraints), nur_shape)
+    return _gen_constrained(
+        n, relation, density, edge_density, seed, nur_shape, with_lists=False
+    )
 
 
 def gen_rclc(
@@ -109,22 +124,10 @@ def gen_rclc(
     edge_density: float = 0.2,
     seed: int = 0,
     nur_shape: UrfcShape | None = None,
-) -> RclcInstance:
-    rng = random.Random(seed)
-    q = relation.q
-    edges = _edges(rng, n, edge_density)
-    pool = list(itertools.product(range(1, n + 1), repeat=relation.r))
-    constraints = _sample(rng, pool, density)
-    lists = tuple(
-        frozenset(rng.sample(range(1, q + 1), rng.randint(1, q)))
-        for _ in range(n)
-    )
-    return RclcInstance(
-        Graph(n, tuple(edges)),
-        relation,
-        tuple(constraints),
-        ListAssignment(q, lists),
-        nur_shape,
+) -> RccInstance:
+    """As gen_rcc, with the same draws, followed by a color list per vertex."""
+    return _gen_constrained(
+        n, relation, density, edge_density, seed, nur_shape, with_lists=True
     )
 
 

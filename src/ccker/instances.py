@@ -29,7 +29,6 @@ __all__ = [
     "Graph",
     "ListAssignment",
     "RccInstance",
-    "RclcInstance",
     "GurfcBlock",
     "GurfcInstance",
     "CliqueKvInstance",
@@ -131,68 +130,36 @@ class ListAssignment:
         return self.lists[v - 1]
 
 
-def _canonical_constraints(graph: Graph, relation: Relation, constraints, nur_shape):
-    s = nur_shape
-    if s is not None and (s.arity != relation.r or s.q != relation.q):
-        raise ValueError("nur shape does not match relation dimensions")
-    n, r = graph.n, relation.r
-    canon = set()
-    for t in constraints:
-        t = tuple(t)
-        if len(t) != r:
-            raise ValueError(f"constraint needs {r} vertex ids, got {len(t)}")
-        if min(t) < 1 or max(t) > n:
-            raise ValueError(f"constraint vertex out of range 1..{n}")
-        canon.add(t)
-    return tuple(sorted(canon))
-
-
 @dataclass(frozen=True)
 class RccInstance:
     """Constrained coloring: proper q-coloring of the graph whose restriction
-    to every constraint tuple lies in the relation."""
+    to every constraint tuple lies in the relation.  With ``lists`` it is
+    constrained list coloring: each vertex also takes a color of its list."""
 
     graph: Graph
     relation: Relation
     constraints: tuple[tuple[int, ...], ...]
     nur_shape: UrfcShape | None = None
+    lists: ListAssignment | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "constraints",
-            _canonical_constraints(
-                self.graph, self.relation, self.constraints, self.nur_shape
-            ),
-        )
-
-    @property
-    def constraint_count(self) -> int:
-        return self.graph.m + len(self.constraints)
-
-
-@dataclass(frozen=True)
-class RclcInstance:
-    """Constrained list coloring: RccInstance plus per-vertex color lists."""
-
-    graph: Graph
-    relation: Relation
-    constraints: tuple[tuple[int, ...], ...]
-    lists: ListAssignment
-    nur_shape: UrfcShape | None = None
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "constraints",
-            _canonical_constraints(
-                self.graph, self.relation, self.constraints, self.nur_shape
-            ),
-        )
-        if self.lists.q != self.relation.q:
-            raise ValueError("list q does not match relation domain size")
-        if self.lists.n != self.graph.n:
-            raise ValueError("list assignment does not cover every vertex")
+        s, n, r = self.nur_shape, self.graph.n, self.relation.r
+        if s is not None and (s.arity != r or s.q != self.relation.q):
+            raise ValueError("nur shape does not match relation dimensions")
+        canon = set()
+        for t in self.constraints:
+            t = tuple(t)
+            if len(t) != r:
+                raise ValueError(f"constraint needs {r} vertex ids, got {len(t)}")
+            if min(t) < 1 or max(t) > n:
+                raise ValueError(f"constraint vertex out of range 1..{n}")
+            canon.add(t)
+        object.__setattr__(self, "constraints", tuple(sorted(canon)))
+        if self.lists is not None:
+            if self.lists.q != self.relation.q:
+                raise ValueError("list q does not match relation domain size")
+            if self.lists.n != n:
+                raise ValueError("list assignment does not cover every vertex")
 
     @property
     def constraint_count(self) -> int:
@@ -525,19 +492,20 @@ def _edge(reader: _Reader) -> tuple[int, ...]:
     return _ints(" ".join(parts[1:]), lineno)
 
 
-def _read_graph(reader: _Reader) -> Graph:
+def _read_graph(reader: _Reader, budget) -> Graph:
+    """The graph block; its header's vertex count is charged against the
+    tuple budget ``budget`` first, since Graph allocates a set per vertex."""
     lineno, line = reader.next("graph header")
     head = _kv_line(line, lineno, "graph", ("n", "m"))
-    # Graph allocates an adjacency set per vertex, so the header pays first
-    budget = resolve_budget(None, DEFAULT_TUPLE_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
     charge("graph header vertices", head["n"], budget)
     edges = (_edge(reader) for _ in range(head["m"]))
     return reader.build(Graph, head["n"], edges)
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, budget: int | None = None) -> Graph:
     reader = _Reader(text)
-    g = _read_graph(reader)
+    g = _read_graph(reader, budget)
     reader.expect_end()
     return g
 
@@ -650,22 +618,8 @@ def _read_relation_block(
     return _read_relation(reader, head["q"], head["r"], head["count"], budget), None
 
 
-def parse_rcc(
-    text: str, relation_loader=None, budget: int | None = None
-) -> RccInstance:
-    reader = _Reader(text)
-    graph = _read_graph(reader)
-    relation, shape = _read_relation_block(reader, relation_loader, budget)
-    constraints = reader.rest("constraint")
-    return reader.build(RccInstance, graph, relation, constraints, shape)
-
-
-def parse_rclc(
-    text: str, relation_loader=None, budget: int | None = None
-) -> RclcInstance:
-    reader = _Reader(text)
-    graph = _read_graph(reader)
-    relation, shape = _read_relation_block(reader, relation_loader, budget)
+def _read_lists(reader: _Reader, n: int, q: int) -> ListAssignment:
+    """One ``list v: colors`` line for each vertex 1..n, in any order."""
     lists: dict[int, frozenset] = {}
     while not reader.at_end() and reader.peek()[1].startswith("list "):
         lineno, line = reader.next("list line")
@@ -674,22 +628,45 @@ def parse_rclc(
         if not colon or len(vs) != 1:
             raise ParseError("list line needs 'list v: colors'", lineno)
         v = vs[0]
-        if not 1 <= v <= graph.n:
+        if not 1 <= v <= n:
             raise ParseError(f"list vertex {v} out of range", lineno)
         if v in lists:
             raise ParseError(f"duplicate list for vertex {v}", lineno)
         colors = _ints(ctxt, lineno)
-        if any(not 1 <= c <= relation.q for c in colors):
-            raise ParseError(f"list color out of range 1..{relation.q}", lineno)
+        if any(not 1 <= c <= q for c in colors):
+            raise ParseError(f"list color out of range 1..{q}", lineno)
         lists[v] = frozenset(colors)
-    missing = [v for v in range(1, graph.n + 1) if v not in lists]
+    missing = [v for v in range(1, n + 1) if v not in lists]
     if missing:
         raise ParseError(f"missing list line for vertex {missing[0]}")
-    assignment = ListAssignment(
-        relation.q, tuple(lists[v] for v in range(1, graph.n + 1))
-    )
+    return ListAssignment(q, tuple(lists[v] for v in range(1, n + 1)))
+
+
+def _read_constrained(
+    text: str, relation_loader, budget, with_lists: bool
+) -> RccInstance:
+    """A graph, its rel block, with ``with_lists`` a list line per vertex, and
+    the constraint lines.  ``budget`` is the tuple budget of the graph header
+    and of the relation, as in parse_relation."""
+    reader = _Reader(text)
+    graph = _read_graph(reader, budget)
+    relation, shape = _read_relation_block(reader, relation_loader, budget)
+    lists = _read_lists(reader, graph.n, relation.q) if with_lists else None
     constraints = reader.rest("constraint")
-    return reader.build(RclcInstance, graph, relation, constraints, assignment, shape)
+    return reader.build(RccInstance, graph, relation, constraints, shape, lists)
+
+
+def parse_rcc(
+    text: str, relation_loader=None, budget: int | None = None
+) -> RccInstance:
+    return _read_constrained(text, relation_loader, budget, with_lists=False)
+
+
+def parse_rclc(
+    text: str, relation_loader=None, budget: int | None = None
+) -> RccInstance:
+    """As parse_rcc, with a color list for every vertex."""
+    return _read_constrained(text, relation_loader, budget, with_lists=True)
 
 
 def _read_colors(reader: _Reader) -> int:
@@ -715,11 +692,12 @@ def _read_block(reader: _Reader) -> GurfcBlock:
     return GurfcBlock(d, l, tuples())
 
 
-def _read_rainbow_free(text: str, one_block: bool) -> GurfcInstance:
+def _read_rainbow_free(text: str, budget, one_block: bool) -> GurfcInstance:
     """A graph, a colors line and its blocks; with ``one_block`` a second
-    block is refused at its header, before it is read."""
+    block is refused at its header, before it is read.  ``budget`` is the
+    tuple budget of the graph header."""
     reader = _Reader(text)
-    graph = _read_graph(reader)
+    graph = _read_graph(reader, budget)
     q = _read_colors(reader)
     if reader.at_end() and not one_block:
         raise ParseError("gurfc instance needs at least one block")
@@ -727,7 +705,7 @@ def _read_rainbow_free(text: str, one_block: bool) -> GurfcInstance:
     def blocks():
         yield _read_block(reader)
         while not reader.at_end():
-            if one_block:
+            if one_block and reader.peek()[1].split()[0] == "block":
                 message = "urfc instance must have exactly one block"
                 raise ParseError(message, reader.peek()[0])
             yield _read_block(reader)
@@ -735,17 +713,17 @@ def _read_rainbow_free(text: str, one_block: bool) -> GurfcInstance:
     return reader.build(GurfcInstance, graph, q, blocks())
 
 
-def parse_urfc(text: str) -> GurfcInstance:
-    return _read_rainbow_free(text, one_block=True)
+def parse_urfc(text: str, budget: int | None = None) -> GurfcInstance:
+    return _read_rainbow_free(text, budget, one_block=True)
 
 
-def parse_gurfc(text: str) -> GurfcInstance:
-    return _read_rainbow_free(text, one_block=False)
+def parse_gurfc(text: str, budget: int | None = None) -> GurfcInstance:
+    return _read_rainbow_free(text, budget, one_block=False)
 
 
-def parse_cliquekv(text: str) -> CliqueKvInstance:
+def parse_cliquekv(text: str, budget: int | None = None) -> CliqueKvInstance:
     reader = _Reader(text)
-    graph = _read_graph(reader)
+    graph = _read_graph(reader, budget)
     lineno, line = reader.next("modulator header")
     k = _kv_line(line, lineno, "modulator", ("k",))["k"]
 
@@ -881,16 +859,13 @@ def serialize(obj) -> str:
         lines = _graph_lines(obj)
     elif isinstance(obj, Relation):
         lines = [f"relation q={obj.q} r={obj.r}"] + _tuple_lines(obj)
-    elif isinstance(obj, RclcInstance):
-        lines = _graph_lines(obj.graph)
-        lines.extend(_relation_lines(obj.relation, obj.nur_shape))
-        for v in range(1, obj.graph.n + 1):
-            colors = " ".join(map(str, sorted(obj.lists.get(v))))
-            lines.append(f"list {v}:{' ' + colors if colors else ''}")
-        lines.extend(" ".join(map(str, t)) for t in obj.constraints)
     elif isinstance(obj, RccInstance):
         lines = _graph_lines(obj.graph)
         lines.extend(_relation_lines(obj.relation, obj.nur_shape))
+        if obj.lists is not None:
+            for v, s in enumerate(obj.lists.lists, start=1):
+                colors = " ".join(map(str, sorted(s)))
+                lines.append(f"list {v}:{' ' + colors if colors else ''}")
         lines.extend(" ".join(map(str, t)) for t in obj.constraints)
     elif isinstance(obj, GurfcInstance):
         lines = _graph_lines(obj.graph)

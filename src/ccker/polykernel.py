@@ -48,7 +48,6 @@ from .relations import (
 )
 
 __all__ = [
-    "PrimeField",
     "SparsePoly",
     "CapturePair",
     "CaptureUnavailableError",
@@ -83,17 +82,6 @@ def smallest_prime_geq(q: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """GF(p) for prime p; arithmetic is exact integer arithmetic mod p."""
-
-    p: int
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-
 class SparsePoly:
     """Polynomial over GF(p): monomial -> nonzero coefficient.
 
@@ -126,19 +114,18 @@ class SparsePoly:
         return SparsePoly(self.p, out)
 
 
-def vandermonde_set(m: int, q: int, field: PrimeField) -> tuple[tuple[int, ...], ...]:
-    """q column vectors (1, a_i, a_i^2, ..., a_i^(m-1)) with a_i = i - 1.
+def vandermonde_set(m: int, q: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """q column vectors (1, a_i, a_i^2, ..., a_i^(m-1)) over GF(p), prime p,
+    with a_i = i - 1.
 
     Any t <= m of them, restricted to their first t rows, are linearly
     independent.  Requires p >= q so the points are distinct.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    if field.p < q:
-        raise ValueError(f"field GF({field.p}) too small for {q} distinct points")
-    return tuple(
-        tuple(pow(i, a, field.p) for a in range(m)) for i in range(q)
-    )
+    if p < q:
+        raise ValueError(f"field GF({p}) too small for {q} distinct points")
+    return tuple(tuple(pow(i, a, p) for a in range(m)) for i in range(q))
 
 
 def _ones_det(columns: list[list[SparsePoly]], p: int) -> SparsePoly:
@@ -165,11 +152,11 @@ class CaptureUnavailableError(ValueError):
 
 @dataclass(frozen=True)
 class CapturePair:
-    """Color vectors C in GF(p)^m and a polynomial on an m x (d*l) variable
-    matrix that is nonzero exactly on the uniformly rainbow C-colored
-    matrices."""
+    """Color vectors C in GF(p)^m, p prime, and a polynomial on an m x (d*l)
+    variable matrix that is nonzero exactly on the uniformly rainbow
+    C-colored matrices."""
 
-    field: PrimeField
+    p: int
     m: int
     d: int
     l: int
@@ -180,6 +167,8 @@ class CapturePair:
     degree_bound: int
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         if len(self.colors) != self.q:
             raise ValueError("need exactly q color vectors")
         if len(set(self.colors)) != self.q:
@@ -195,7 +184,7 @@ class CapturePair:
 
 @functools.cache
 def build_capture(
-    d: int, l: int, q: int, field: PrimeField | None = None
+    d: int, l: int, q: int, p: int | None = None
 ) -> CapturePair:
     """Construct a capture pair for the (d, l, q) uniformly rainbow property.
 
@@ -207,13 +196,13 @@ def build_capture(
     sum of the first block's columns, degree d*l - 1.  Any other shape raises
     CaptureUnavailableError (the trivial kernel applies there).
 
-    Memoized per (d, l, q, field): equal arguments return the same pair, so
-    no caller may mutate it.
+    The field is GF(p), by default for the smallest prime p >= q.  Memoized
+    per (d, l, q, p): equal arguments return the same pair, so no caller may
+    mutate it.
     """
     UrfcShape(d, l, q)
-    if field is None:
-        field = PrimeField(smallest_prime_geq(q))
-    p = field.p
+    if p is None:
+        p = smallest_prime_geq(q)
 
     def column(col: int, t: int) -> list[SparsePoly]:
         # rows 1..t-1 of variable column ``col``
@@ -221,17 +210,17 @@ def build_capture(
 
     if l == 1 and q >= d:
         item, m, bound = 1, d, d - 1
-        colors = vandermonde_set(m, q, field)
+        colors = vandermonde_set(m, q, p)
         poly = _ones_det([column(b, d) for b in range(d)], p)
     elif q == d:
         item, m, bound = 2, d, (d - 1) * l
-        colors = vandermonde_set(m, q, field)
+        colors = vandermonde_set(m, q, p)
         poly = SparsePoly(p, {(): 1})
         for i in range(l):
             poly = poly * _ones_det([column(i * d + b, d) for b in range(d)], p)
     elif q == d + 1:
         item, m, bound = 3, q, d * l - 1
-        colors = vandermonde_set(m, q, field)
+        colors = vandermonde_set(m, q, p)
         a_vec = [sum(v[a] for v in colors) % p for a in range(m)]
         # a - y as polynomial entries for rows 1..m-1; y sums block 1's columns
         last_col = [
@@ -246,7 +235,7 @@ def build_capture(
         raise CaptureUnavailableError(
             f"no capture construction for d={d}, l={l}, q={q}"
         )
-    return CapturePair(field, m, d, l, q, colors, poly, item, bound)
+    return CapturePair(p, m, d, l, q, colors, poly, item, bound)
 
 
 def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
@@ -257,7 +246,7 @@ def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
     charge("capture check", q ** (d * l), b)
 
-    p = cp.field.p
+    p = cp.p
     colors = np.array(cp.colors, dtype=np.int64) % p
     terms = list(cp.poly.terms.items())
     for _, assign in _grid_chunks(q, d * l):
@@ -462,7 +451,7 @@ def kernelize_poly(
     ids, count = _monomial_ids(block, cp.m, slots)
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
     charge("polynomial kernel matrix", len(block.tuples) * count, b)
-    kept = _row_rank_profile(ids, coeffs, count, cp.field.p)
+    kept = _row_rank_profile(ids, coeffs, count, cp.p)
     return canonical_subset(block, tuples=(block.tuples[r] for r in kept))
 
 
@@ -592,7 +581,7 @@ def kernelize_urfc(inst: GurfcInstance, budget: int | None = None) -> KernelResu
         l,
         q,
         e,
-        field_p=cp.field.p,
+        field_p=cp.p,
         capture_item=cp.item,
         basis_size=len(kept.tuples),
         binom_bound=bound,
@@ -634,7 +623,8 @@ def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
     While some 2-element sets A_1..A_r have their whole product inside the
     constraint collection, the lexicographically last tuple of that product
     is dropped.  Sound whenever no OR relation of arity r is definable from
-    the instance relation (the caller may verify via max_or_arity).
+    the instance relation (the caller may verify via max_or_arity); an
+    instance with color lists, which no such argument covers, is refused.
 
     The rule is applied in one pass over the sorted collection, and it drops
     exactly what restarting the scan of pairs (s, t), s before t, from the
@@ -659,6 +649,8 @@ def kernelize_product_pruning(inst: RccInstance) -> RccInstance:
     r = inst.relation.r
     if r < 3:
         raise ValueError(f"arity must be at least 3, got {r}")
+    if inst.lists is not None:
+        raise ValueError("product pruning takes no color lists")
     rows = np.array(inst.constraints, dtype=np.int64).reshape(-1, r)
     m = len(rows)
     ranks = np.empty_like(rows)

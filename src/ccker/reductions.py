@@ -21,7 +21,6 @@ from .instances import (
     Hypergraph,
     ListAssignment,
     RccInstance,
-    RclcInstance,
 )
 from .polykernel import kernelize_gurfc
 from .relations import OrWitness, Relation, is_permutation_invariant, r_clique
@@ -128,7 +127,7 @@ def _sat_layout(formula: CnfFormula, witness: OrWitness):
 
 def sat_to_rclc(
     formula: CnfFormula, rel: Relation, witness: OrWitness
-) -> tuple[RclcInstance, ReductionReport]:
+) -> tuple[RccInstance, ReductionReport]:
     """Encode width-k satisfiability as constrained list coloring.
 
     Per variable and witness position, an adjacent true/false vertex pair
@@ -195,7 +194,7 @@ def sat_to_rclc(
             entry[j] = v_vertex[j]
         constraints.append(tuple(entry[j] for j in range(1, r + 1)))
 
-    inst = RclcInstance(graph, rel, tuple(constraints), assignment)
+    inst = RccInstance(graph, rel, tuple(constraints), lists=assignment)
     per_variable = (graph.n - (r - k)) // n if n else 0
     report = ReductionReport(
         "sat_to_rclc",
@@ -226,10 +225,12 @@ def decode_sat_coloring(
     )
 
 
-def rclc_to_rcc(inst: RclcInstance) -> tuple[RccInstance, ReductionReport]:
+def rclc_to_rcc(inst: RccInstance) -> tuple[RccInstance, ReductionReport]:
     """Replace lists by a q-clique palette: vertex v is wired to the palette
-    vertex of every color missing from its list.  Requires the relation to be
-    permutation-invariant."""
+    vertex of every color missing from its list.  Requires an instance with
+    lists and a permutation-invariant relation."""
+    if inst.lists is None:
+        raise ValueError("instance has no color lists")
     if not is_permutation_invariant(inst.relation):
         raise ValueError("relation is not permutation-invariant")
     q = inst.relation.q

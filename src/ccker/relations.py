@@ -354,7 +354,9 @@ class OrWitness:
         return self.check_membership(lambda t: t in rel)
 
 
-def find_or_witness(rel: Relation, k: int) -> OrWitness | None:
+def find_or_witness(
+    rel: Relation, k: int, budget: int | None = None
+) -> OrWitness | None:
     """Search for an arity-k OR witness, lexicographically first.
 
     Position sets J are tried in lexicographic order; for each J, the per
@@ -368,10 +370,18 @@ def find_or_witness(rel: Relation, k: int) -> OrWitness | None:
     gathered at all of them; a candidate is a witness when exactly one
     corner is missing.  Batches start small and double, so that a witness
     among the first candidates is found after little work.
+
+    The corner lookups of all candidates are charged first, against
+    ``budget`` or else ``CCKER_BUDGET``.  With neither, nothing is charged:
+    the count is a worst case, and for the nur(2,5,3) and nur(3,3,3)
+    witnesses that sat-rclc needs it exceeds DEFAULT_TUPLE_BUDGET although
+    the search stops within milliseconds.
     """
     if not 1 <= k <= rel.r:
         raise ValueError(f"witness arity must be in 1..{rel.r}, got {k}")
     q, r = rel.q, rel.r
+    b = resolve_budget(budget, math.inf)
+    charge("or-witness search", _witness_search_size(q, r, k), b)
     pairs = np.array(list(itertools.combinations(range(q), 2)), dtype=np.int64)
     weights = _radix_weights([q] * r)
     most = max(1, _CORNER_BATCH >> k)
@@ -412,8 +422,7 @@ def max_or_arity(rel: Relation, budget: int | None = None) -> int:
     """Largest k admitting an OR witness, 0 if none exists at any arity."""
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
     for k in range(rel.r, 0, -1):
-        charge("or-witness search", _witness_search_size(rel.q, rel.r, k), b)
-        if find_or_witness(rel, k) is not None:
+        if find_or_witness(rel, k, b) is not None:
             return k
     return 0
 

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from ccker import generate
-from ccker.instances import Graph, Hypergraph, ListAssignment, RclcInstance, serialize
+from ccker.instances import Graph, Hypergraph, ListAssignment, RccInstance, serialize
 from ccker.oracles import (
     cliquekv_colorable,
     extend_to_cliques,
@@ -260,7 +260,7 @@ def test_gadget_exhaustiveness():
                         pinned = ListAssignment(
                             q, (frozenset({c1}), frozenset({c2})) + lists.lists[2:]
                         )
-                        inst = RclcInstance(g, rel, (), pinned)
+                        inst = RccInstance(g, rel, (), lists=pinned)
                         extends = solve_rclc(inst, limit=1).is_yes
                         assert extends == ((c1, c2) != (a1, a2)), (q, a1, a2, c1, c2)
 

@@ -188,9 +188,33 @@ class TestBudgetFlag:
         inst = tmp_path / f"i.{problem}"
         inst.write_text(f"graph n=3 m=0\n{rel}\n1 2 3\n")
         argv = ["solve", "--problem", problem, str(inst)]
-        assert main(argv + ["--budget", "1"]) == 3
-        assert f"{message}: 125 steps exceed budget 1" in capsys.readouterr().err
+        # the graph header's 3 vertices fit the budget; the 5^3 table does not
+        assert main(argv + ["--budget", "3"]) == 3
+        assert f"{message}: 125 steps exceed budget 3" in capsys.readouterr().err
         assert main(argv) == 0
+
+    def test_budget_reaches_the_graph_header(self, tmp_path, capsys, monkeypatch):
+        inst, out = tmp_path / "i.urfc", str(tmp_path / "k.urfc")
+        inst.write_text("graph n=1000 m=0\ncolors q=2\nblock d=1 l=1 count=0\n")
+        argv = ["kernelize", "--problem", "urfc", str(inst), "-o", out]
+        monkeypatch.delenv("CCKER_BUDGET", raising=False)
+        assert main(argv + ["--budget", "100"]) == 3
+        assert "graph header vertices: 1000 steps exceed budget 100" in (
+            capsys.readouterr().err
+        )
+        monkeypatch.setenv("CCKER_BUDGET", "100")
+        assert main(argv + ["--budget", "1000000"]) == 0
+
+    def test_budget_reaches_the_sat_rclc_witness_search(self, tmp_path, capsys):
+        cnf = str(tmp_path / "f.cnf")
+        assert main(["gen", "--problem", "cnf", "--n", "4", "--k", "3", "--count",
+                     "3", "--seed", "1", "-o", cnf]) == 0
+        argv = ["reduce", "--transform", "sat-rclc", "--relation", "nur d=1 l=3 q=3",
+                cnf, "-o", str(tmp_path / "f.rclc")]
+        assert main(argv + ["--budget", "100"]) == 3
+        err = capsys.readouterr().err
+        assert "or-witness search: 216 steps exceed budget 100" in err
+        assert main(argv + ["--budget", "216"]) == 0
 
     def test_rel_block_header_charged_before_its_table(self, tmp_path, capsys):
         # a 10^8-entry table exceeds the default tuple budget of 10^7

@@ -14,6 +14,7 @@ from ccker.instances import (
     GurfcBlock,
     GurfcInstance,
     Hypergraph,
+    ListAssignment,
     NotCliqueError,
     ParseError,
     RccInstance,
@@ -148,6 +149,25 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="missing list"):
             parse("rclc", text)
 
+    def test_rcc_and_rclc_texts_kept_apart(self):
+        rcc = "graph n=2 m=0\nrel nur d=1 l=2 q=3\n1 2\n"
+        rclc = "graph n=2 m=0\nrel nur d=1 l=2 q=3\nlist 1: 1\nlist 2: 2\n1 2\n"
+        with pytest.raises(ParseError) as err:
+            parse("rclc", rcc)
+        assert str(err.value) == "missing list line for vertex 1"
+        with pytest.raises(ParseError) as err:
+            parse("rcc", rclc)
+        assert str(err.value) == "line 3: expected integers, got 'list 1: 1'"
+
+    def test_lists_checked_against_the_instance(self):
+        graph, rel = Graph(2, ()), make_nur(1, 2, 3)
+        lists = ListAssignment(3, (frozenset({1}), frozenset({2})))
+        assert RccInstance(graph, rel, (), lists=lists).lists == lists
+        with pytest.raises(ValueError, match="list q does not match"):
+            RccInstance(graph, rel, (), lists=ListAssignment(4, lists.lists))
+        with pytest.raises(ValueError, match="does not cover every vertex"):
+            RccInstance(graph, rel, (), lists=ListAssignment(3, lists.lists[:1]))
+
     def test_positions_reported(self):
         with pytest.raises(ParseError, match="line 2"):
             parse("graph", "graph n=2 m=1\nbogus\n")
@@ -215,6 +235,14 @@ class TestParseErrors:
             parse_urfc(text)
         assert str(err.value) == "line 6: urfc instance must have exactly one block"
         assert err.value.line == 6
+
+    def test_urfc_with_a_stray_tuple_line(self):
+        # a line that is no block header gets gurfc's message, not urfc's
+        text = "graph n=2 m=0\ncolors q=2\nblock d=1 l=2 count=1\n1 2\n2 1\n"
+        for parser in (parse_urfc, parse_gurfc):
+            with pytest.raises(ParseError) as err:
+                parser(text)
+            assert str(err.value) == "line 5: expected 'block' line, got '2 1'"
 
 
 @st.composite
@@ -347,6 +375,11 @@ class TestMalformedInput:
         with pytest.raises(BudgetExceededError, match="graph header vertices"):
             parse("graph", "graph n=1000 m=0\n")
         assert parse("graph", "graph n=100 m=0\n").n == 100
+        # an explicit budget overrides the environment
+        assert parse("graph", "graph n=1000 m=0\n", budget=1000).n == 1000
+        urfc = "graph n=10 m=0\ncolors q=2\nblock d=1 l=1 count=0\n"
+        with pytest.raises(BudgetExceededError, match="graph header vertices"):
+            parse("urfc", urfc, budget=9)
 
     def test_relation_header_charged_against_budget(self, monkeypatch):
         monkeypatch.setenv("CCKER_BUDGET", "100")

@@ -18,7 +18,6 @@ from ccker.instances import (
     GurfcInstance,
     Hypergraph,
     RccInstance,
-    RclcInstance,
     ListAssignment,
 )
 from ccker.oracles import (
@@ -188,19 +187,19 @@ class TestSolveRcc:
 class TestSolveRclc:
     def test_consistent_singletons(self):
         lists = ListAssignment(3, (frozenset({2}), frozenset({1})))
-        inst = RclcInstance(Graph(2, ((1, 2),)), make_nur(1, 2, 3), (), lists)
+        inst = RccInstance(Graph(2, ((1, 2),)), make_nur(1, 2, 3), (), lists=lists)
         assert solve_rclc(inst).colorings == ((2, 1),)
 
     def test_empty_list_forces_no(self):
         lists = ListAssignment(3, (frozenset(), frozenset({1})))
-        inst = RclcInstance(Graph(2, ()), make_nur(1, 2, 3), (), lists)
+        inst = RccInstance(Graph(2, ()), make_nur(1, 2, 3), (), lists=lists)
         assert not solve_rclc(inst).is_yes
 
     @settings(max_examples=150, deadline=None)
     @given(relational_instances())
     def test_matches_product_reference(self, drawn):
         rcc, lists = drawn
-        inst = RclcInstance(rcc.graph, rcc.relation, rcc.constraints, lists)
+        inst = RccInstance(rcc.graph, rcc.relation, rcc.constraints, lists=lists)
         ref = relational_reference(rcc, lists.lists)
         assert solve_rclc(inst).colorings == ref
         first = solve_rclc(inst, limit=1)

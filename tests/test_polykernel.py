@@ -22,7 +22,6 @@ from ccker.oracles import solve_urfc
 from ccker.polykernel import (
     CapturePair,
     CaptureUnavailableError,
-    PrimeField,
     SparsePoly,
     build_capture,
     check_captures,
@@ -46,7 +45,7 @@ def reference_kernel_tuples(block, cp):
     """The sparse dict engine that kernelize_poly used before the dense one:
     instantiate each tuple's capture polynomial term by term, then keep the
     row basis in reduced row-echelon form.  Returns the kept tuples."""
-    p, m = cp.field.p, cp.m
+    p, m = cp.p, cp.m
     terms = [
         (coeff, tuple((var // m, var % m) for var in mono))
         for mono, coeff in cp.poly.terms.items()
@@ -131,14 +130,16 @@ def modular_rank(rows, p):
 
 
 class TestPrimeField:
+    """The prime p of a capture's field GF(p)."""
+
     def test_smallest_prime(self):
         assert smallest_prime_geq(1) == 2
         assert smallest_prime_geq(4) == 5
         assert smallest_prime_geq(7) == 7
 
     def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            PrimeField(6)
+        with pytest.raises(ValueError, match="6 is not prime"):
+            build_capture(2, 2, 3, 6)
 
 
 poly_coeffs = st.lists(
@@ -178,20 +179,18 @@ class TestSparsePoly:
 
 class TestVandermonde:
     def test_fixed_points(self):
-        f = PrimeField(3)
-        assert vandermonde_set(2, 3, f) == ((1, 0), (1, 1), (1, 2))
+        assert vandermonde_set(2, 3, 3) == ((1, 0), (1, 1), (1, 2))
 
     def test_first_entries_are_ones(self):
-        f = PrimeField(7)
-        assert all(v[0] == 1 for v in vandermonde_set(4, 6, f))
+        assert all(v[0] == 1 for v in vandermonde_set(4, 6, 7))
 
     def test_field_too_small(self):
         with pytest.raises(ValueError, match="too small"):
-            vandermonde_set(2, 4, PrimeField(3))
+            vandermonde_set(2, 4, 3)
 
     @pytest.mark.parametrize("m,q,p", [(2, 3, 3), (3, 4, 5), (4, 4, 5)])
     def test_prefix_independence(self, m, q, p):
-        vectors = vandermonde_set(m, q, PrimeField(p))
+        vectors = vandermonde_set(m, q, p)
         for t in range(1, m + 1):
             for subset in itertools.combinations(vectors, t):
                 rows = [[v[a] for v in subset] for a in range(t)]
@@ -220,9 +219,8 @@ class TestDetPoly:
         assert variable_det(2, 1, 5).degree == 0
 
     def test_zero_on_equal_columns(self):
-        f = PrimeField(5)
-        poly = variable_det(3, 3, f.p)
-        vecs = vandermonde_set(3, 5, f)
+        poly = variable_det(3, 3, 5)
+        vecs = vandermonde_set(3, 5, 5)
         for i, j in itertools.combinations(range(5), 2):
             # column-major flattening: columns are vecs[i], vecs[i], vecs[j]
             flat = list(vecs[i]) + list(vecs[i]) + list(vecs[j])
@@ -300,9 +298,9 @@ class TestCapture:
     def test_corrupted_pair_fails(self):
         cp = build_capture(2, 2, 3)
         mono = next(iter(cp.poly.terms))
-        broken = SparsePoly(cp.field.p, {m: c for m, c in cp.poly.terms.items() if m != mono})
+        broken = SparsePoly(cp.p, {m: c for m, c in cp.poly.terms.items() if m != mono})
         bad = CapturePair(
-            cp.field, cp.m, cp.d, cp.l, cp.q, cp.colors, broken, cp.item, cp.degree_bound
+            cp.p, cp.m, cp.d, cp.l, cp.q, cp.colors, broken, cp.item, cp.degree_bound
         )
         assert not check_captures(bad)
 
@@ -313,7 +311,7 @@ class TestCapture:
 
     def test_vectorized_matches_scalar_evaluation(self):
         cp = build_capture(2, 2, 3)
-        p = cp.field.p
+        p = cp.p
         for assign in itertools.product(range(3), repeat=4):
             point = [0] * (cp.m * 4)
             for col, color in enumerate(assign):
@@ -334,7 +332,7 @@ class TestKernelizePoly:
     def test_zero_capture_keeps_nothing(self):
         cp = build_capture(2, 2, 3)
         zero = CapturePair(
-            cp.field, cp.m, cp.d, cp.l, cp.q, cp.colors, SparsePoly(cp.field.p),
+            cp.p, cp.m, cp.d, cp.l, cp.q, cp.colors, SparsePoly(cp.p),
             cp.item, cp.degree_bound,
         )
         (block,) = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1).blocks
@@ -384,7 +382,7 @@ class TestKernelizePoly:
         _check_exact(10**6, 10**6, 8191)
 
     def test_large_field_refused(self):
-        cp = build_capture(2, 2, 3, PrimeField(8209))
+        cp = build_capture(2, 2, 3, 8209)
         (block,) = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1).blocks
         with pytest.raises(ValueError, match="int32"):
             kernelize_poly(block, cp)
@@ -680,6 +678,12 @@ class TestKernelizeProductPruning:
     def test_requires_arity_three(self):
         inst = RccInstance(Graph(3, ()), make_nur(1, 2, 2), ())
         with pytest.raises(ValueError):
+            kernelize_product_pruning(inst)
+
+    def test_refuses_color_lists(self):
+        # no soundness argument covers list instances
+        inst = generate.gen_rclc(4, make_nur(1, 3, 2), 0.5, 0.2, 1)
+        with pytest.raises(ValueError, match="no color lists"):
             kernelize_product_pruning(inst)
 
     def test_output_product_free_random(self):

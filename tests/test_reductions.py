@@ -13,7 +13,7 @@ from ccker.instances import (
     GurfcInstance,
     Hypergraph,
     ListAssignment,
-    RclcInstance,
+    RccInstance,
 )
 from ccker.oracles import (
     cliquekv_colorable,
@@ -76,7 +76,7 @@ class TestForbidPairGadget:
                         pinned = ListAssignment(
                             q, (frozenset({c1}), frozenset({c2})) + lists.lists[2:]
                         )
-                        inst = RclcInstance(g, rel, (), pinned)
+                        inst = RccInstance(g, rel, (), lists=pinned)
                         extends = solve_rclc(inst, limit=1).is_yes
                         assert extends == ((c1, c2) != (a1, a2))
 
@@ -148,9 +148,14 @@ class TestSatToRclc:
 
 
 class TestRclcToRcc:
+    def test_requires_lists(self):
+        inst = RccInstance(Graph(2, ()), make_nur(1, 2, 3), ())
+        with pytest.raises(ValueError, match="no color lists"):
+            rclc_to_rcc(inst)
+
     def test_full_lists_isolated_palette(self):
         rel = make_nur(1, 2, 3)
-        inst = RclcInstance(Graph(2, ()), rel, (), full_lists(3, 2))
+        inst = RccInstance(Graph(2, ()), rel, (), lists=full_lists(3, 2))
         out, report = rclc_to_rcc(inst)
         assert out.graph.n == 5
         assert report.additive == 3
@@ -162,7 +167,7 @@ class TestRclcToRcc:
         from ccker.relations import Relation
 
         rel = Relation(3, 2, ((1, 2),))
-        inst = RclcInstance(Graph(2, ()), rel, (), full_lists(3, 2))
+        inst = RccInstance(Graph(2, ()), rel, (), lists=full_lists(3, 2))
         with pytest.raises(ValueError, match="invariant"):
             rclc_to_rcc(inst)
 

@@ -260,6 +260,18 @@ class TestOrWitness:
         with pytest.raises(ValueError):
             find_or_witness(rel, 3)
 
+    def test_budget(self, monkeypatch):
+        # the worst case, 120 * 3^3 * 3^7 * 2^3, is charged only to a budget
+        # given explicitly or by the environment
+        rel = make_nur(2, 5, 3)
+        monkeypatch.delenv("CCKER_BUDGET", raising=False)
+        assert find_or_witness(rel, 3).check(rel)
+        with pytest.raises(BudgetExceededError, match="56687040 steps exceed"):
+            find_or_witness(rel, 3, budget=10**7)
+        monkeypatch.setenv("CCKER_BUDGET", str(10**7))
+        with pytest.raises(BudgetExceededError, match="56687040 steps exceed"):
+            find_or_witness(rel, 3)
+
     def test_witness_validation_catches_corruption(self):
         rel = make_nur(1, 2, 3)
         bad = OrWitness(2, (1, 2), (2, 2), (3, 3))
