@@ -37,10 +37,10 @@ from .oracles import (
 )
 from .polykernel import (
     CapturePair,
+    CapturePoly,
     CaptureUnavailableError,
     KernelReport,
     KernelResult,
-    SparsePoly,
     build_capture,
     check_captures,
     kernelize_product_pruning,

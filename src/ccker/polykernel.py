@@ -1,9 +1,10 @@
 """Kernelization engines.
 
 Capture pairs for the uniformly rainbow property (Vandermonde color vectors
-and a capture polynomial over GF(p), held as a term dict), the
-polynomial-basis kernel, the rainbow-free dispatchers, and the
-product-pruning kernel for constrained coloring.
+and a capture polynomial over GF(p), held as an array of variable slots per
+term and an array of coefficients), the polynomial-basis kernel, the
+rainbow-free dispatchers, and the product-pruning kernel for constrained
+coloring.
 
 Variable layout for capture polynomials: the m x (d*l) matrix of variables is
 flattened column-major, variable (row a, column b) (0-based) has index
@@ -28,10 +29,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .budget import DEFAULT_TUPLE_BUDGET, charge, resolve_budget
+from .budget import DEFAULT_TUPLE_BUDGET, BudgetExceededError, charge, resolve_budget
 from .instances import (
     Graph,
     GurfcBlock,
@@ -48,7 +50,7 @@ from .relations import (
 )
 
 __all__ = [
-    "SparsePoly",
+    "CapturePoly",
     "CapturePair",
     "CaptureUnavailableError",
     "smallest_prime_geq",
@@ -82,36 +84,17 @@ def smallest_prime_geq(q: int) -> int:
     return p
 
 
-class SparsePoly:
-    """Polynomial over GF(p): monomial -> nonzero coefficient.
+class CapturePoly(NamedTuple):
+    """Polynomial over GF(p), one row per term: ``terms[t]`` holds the
+    variable slots of term t in ascending order, each repeated by its
+    exponent and padded with -1, and ``coeffs[t]`` its nonzero residue."""
 
-    A monomial is the sorted tuple of its variable indices, each repeated by
-    its exponent, so its length is its degree; () is the constant monomial.
-    """
-
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms=None):
-        self.p = p
-        self.terms = {m: c % p for m, c in (terms or {}).items() if c % p}
+    terms: np.ndarray
+    coeffs: np.ndarray
 
     @property
     def degree(self) -> int:
-        return max(map(len, self.terms), default=0)
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-        return SparsePoly(self.p, out)
-
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        out: dict[tuple, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return SparsePoly(self.p, out)
+        return int((self.terms >= 0).sum(axis=1).max(initial=0))
 
 
 def vandermonde_set(m: int, q: int, p: int) -> tuple[tuple[int, ...], ...]:
@@ -128,22 +111,55 @@ def vandermonde_set(m: int, q: int, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(pow(i, a, p) for a in range(m)) for i in range(q))
 
 
-def _ones_det(columns: list[list[SparsePoly]], p: int) -> SparsePoly:
-    """Leibniz expansion of the t x t determinant whose first row is ones and
-    whose row a >= 1 holds columns[b][a - 1] in column b.
-
-    With variable entries, evaluated on t columns of a Vandermonde set, it is
-    nonzero iff the columns are pairwise distinct; its degree is t - 1.
-    """
+def _det_terms(columns: list[list[list[tuple]]]) -> list[tuple]:
+    """Leibniz expansion, a term per permutation and choice of entry terms, of
+    the t x t determinant with a first row of ones and the affine entry
+    columns[b][a - 1] in row a >= 1 of column b; entries and result are lists
+    of (slots, coefficient) terms.  With variable entries, on t columns of a
+    Vandermonde set, it is nonzero iff they are pairwise distinct, and its
+    degree is t - 1."""
     t = len(columns)
-    acc = SparsePoly(p)
+    out = []
     for perm in itertools.permutations(range(t)):
         inversions = sum(i > j for i, j in itertools.combinations(perm, 2))
-        prod = SparsePoly(p, {(): -1 if inversions % 2 else 1})
-        for a in range(1, t):
-            prod = prod * columns[perm[a]][a - 1]
-        acc = acc + prod
-    return acc
+        entries = [columns[perm[a]][a - 1] for a in range(1, t)]
+        for choice in itertools.product(*entries):
+            slots = tuple(s for term, _ in choice for s in term)
+            out.append((slots, (-1) ** inversions * math.prod(c for _, c in choice)))
+    return out
+
+
+def _expand(factors: list[list[tuple]], p: int) -> CapturePoly:
+    """The product over GF(p) of factors given as lists of (slots,
+    coefficient) terms, with like terms merged and zero ones dropped after
+    each factor.  A product of degree 0 gets one column, all padding."""
+    poly = {(): 1}
+    for factor in factors:
+        out: dict[tuple, int] = {}
+        for m1, c1 in poly.items():
+            for m2, c2 in factor:
+                mono = tuple(sorted(m1 + m2))
+                out[mono] = out.get(mono, 0) + c1 * c2
+        poly = {mono: c % p for mono, c in out.items() if c % p}
+    terms = np.full((len(poly), max([1, *map(len, poly)])), -1, dtype=np.int64)
+    for t, mono in enumerate(poly):
+        terms[t, : len(mono)] = mono
+    return CapturePoly(terms, np.array(list(poly.values()), dtype=np.int64))
+
+
+def _charge_expansion(item: int, d: int, l: int, budget: int) -> None:
+    """Charge the product of the capture's determinants' Leibniz term counts:
+    d! for a d x d one, and d! (1 + d(d+1)) for one extended by the column
+    a - y (q = d + 1 columns; d * d! of its terms take one of that column's
+    (d + 1)-term entries).  Each count is a product of factors >= 2, so, as
+    in charge_grid, a product of more than 4096 factors that must exceed the
+    budget is reported as its formula rather than computed."""
+    dets, extended = (1 if item == 1 else l), (l - 1 if item == 3 else 0)
+    if dets * (d - 1) + extended > max(4096, budget.bit_length()):
+        size = f"{d}!^{dets}*{1 + d * (d + 1)}^{extended}"
+        raise BudgetExceededError("capture expansion", size, budget)
+    size = math.factorial(d) ** dets * (1 + d * (d + 1)) ** extended
+    charge("capture expansion", size, budget)
 
 
 class CaptureUnavailableError(ValueError):
@@ -162,7 +178,7 @@ class CapturePair:
     l: int
     q: int
     colors: tuple[tuple[int, ...], ...]
-    poly: SparsePoly
+    poly: CapturePoly
     item: int
     degree_bound: int
 
@@ -182,9 +198,8 @@ class CapturePair:
             )
 
 
-@functools.cache
 def build_capture(
-    d: int, l: int, q: int, p: int | None = None
+    d: int, l: int, q: int, p: int | None = None, budget: int | None = None
 ) -> CapturePair:
     """Construct a capture pair for the (d, l, q) uniformly rainbow property.
 
@@ -196,45 +211,45 @@ def build_capture(
     sum of the first block's columns, degree d*l - 1.  Any other shape raises
     CaptureUnavailableError (the trivial kernel applies there).
 
-    The field is GF(p), by default for the smallest prime p >= q.  Memoized
-    per (d, l, q, p): equal arguments return the same pair, so no caller may
-    mutate it.
+    The field is GF(p), by default for the smallest prime p >= q.  The
+    product of the determinants' term counts is charged against the tuple
+    budget (explicit, else ``CCKER_BUDGET``, else DEFAULT_TUPLE_BUDGET) on
+    every call, before anything is built.  Memoized per (d, l, q, p): equal
+    arguments return the same pair, so no caller may mutate it.
     """
     UrfcShape(d, l, q)
-    if p is None:
-        p = smallest_prime_geq(q)
-
-    def column(col: int, t: int) -> list[SparsePoly]:
-        # rows 1..t-1 of variable column ``col``
-        return [SparsePoly(p, {(col * m + a,): 1}) for a in range(1, t)]
-
     if l == 1 and q >= d:
         item, m, bound = 1, d, d - 1
-        colors = vandermonde_set(m, q, p)
-        poly = _ones_det([column(b, d) for b in range(d)], p)
     elif q == d:
         item, m, bound = 2, d, (d - 1) * l
-        colors = vandermonde_set(m, q, p)
-        poly = SparsePoly(p, {(): 1})
-        for i in range(l):
-            poly = poly * _ones_det([column(i * d + b, d) for b in range(d)], p)
     elif q == d + 1:
         item, m, bound = 3, q, d * l - 1
-        colors = vandermonde_set(m, q, p)
-        a_vec = [sum(v[a] for v in colors) % p for a in range(m)]
-        # a - y as polynomial entries for rows 1..m-1; y sums block 1's columns
-        last_col = [
-            SparsePoly(p, {(): a_vec[a]} | {(b * m + a,): -1 for b in range(d)})
-            for a in range(1, m)
-        ]
-        poly = _ones_det([column(b, d) for b in range(d)], p)
-        for i in range(1, l):
-            cols = [column(i * d + b, m) for b in range(d)]
-            poly = poly * _ones_det(cols + [last_col], p)
     else:
         raise CaptureUnavailableError(
             f"no capture construction for d={d}, l={l}, q={q}"
         )
+    _charge_expansion(item, d, l, resolve_budget(budget, DEFAULT_TUPLE_BUDGET))
+    p = smallest_prime_geq(q) if p is None else p
+    return _build_capture(d, l, q, p, item, m, bound)
+
+
+@functools.cache
+def _build_capture(d, l, q, p, item, m, bound) -> CapturePair:
+    def column(col: int, t: int) -> list[list[tuple]]:
+        # rows 1..t-1 of variable column ``col``; t = m past block 1, where
+        # item 3 appends the column a - y, and m = d otherwise
+        return [[((col * m + a,), 1)] for a in range(1, t)]
+
+    colors = vandermonde_set(m, q, p)
+    blocks = [[column(i * d + b, m if i else d) for b in range(d)] for i in range(l)]
+    if item == 3:
+        last_col = [  # rows 1..m-1 of a - y; y sums block 1's columns
+            [((), sum(v[a] for v in colors))] + [((b * m + a,), -1) for b in range(d)]
+            for a in range(1, m)
+        ]
+        for columns in blocks[1:]:
+            columns.append(last_col)
+    poly = _expand([_det_terms(columns) for columns in blocks], p)
     return CapturePair(p, m, d, l, q, colors, poly, item, bound)
 
 
@@ -248,13 +263,12 @@ def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
 
     p = cp.p
     colors = np.array(cp.colors, dtype=np.int64) % p
-    terms = list(cp.poly.terms.items())
     for _, assign in _grid_chunks(q, d * l):
         rows = assign.shape[0]
         acc = np.zeros(rows, dtype=np.int64)
-        for mono, coeff in terms:
+        for slots, coeff in zip(cp.poly.terms, cp.poly.coeffs.tolist()):
             term = np.full(rows, coeff, dtype=np.int64)
-            for slot in mono:
+            for slot in slots[slots >= 0].tolist():
                 col, row = divmod(slot, cp.m)
                 term = term * colors[assign[:, col], row] % p
             acc += term
@@ -273,20 +287,6 @@ def check_captures(cp: CapturePair, budget: int | None = None) -> bool:
 # Rows per elimination batch, and the id-array build's memory target.
 _BATCH_ROWS = 32
 _CHUNK_IDS = 1 << 18
-
-
-def _capture_slots(cp: CapturePair):
-    """The capture's terms as a (terms, width) array of variable slots, and
-    their coefficients.
-
-    Slot ``col*m + row`` is the variable in row ``row`` of column ``col``;
-    each term is its monomial, padded with -1.  A capture of degree 0 gets
-    width 1, all padding."""
-    terms = cp.poly.terms
-    slots = np.full((len(terms), cp.poly.degree or 1), -1)
-    for t, mono in enumerate(terms):
-        slots[t, : len(mono)] = mono
-    return slots, np.array(list(terms.values()), dtype=np.float64)
 
 
 def _monomial_ids(block: GurfcBlock, m: int, slots: np.ndarray):
@@ -445,13 +445,12 @@ def kernelize_poly(
             f"capture shape ({cp.d},{cp.l}) does not match block "
             f"({block.d},{block.l})"
         )
-    if not block.tuples or not cp.poly.terms:  # every row is zero
+    if not block.tuples or not len(cp.poly.coeffs):  # every row is zero
         return canonical_subset(block, tuples=())
-    slots, coeffs = _capture_slots(cp)
-    ids, count = _monomial_ids(block, cp.m, slots)
+    ids, count = _monomial_ids(block, cp.m, cp.poly.terms)
     b = resolve_budget(budget, DEFAULT_TUPLE_BUDGET)
     charge("polynomial kernel matrix", len(block.tuples) * count, b)
-    kept = _row_rank_profile(ids, coeffs, count, cp.p)
+    kept = _row_rank_profile(ids, cp.poly.coeffs, count, cp.p)
     return canonical_subset(block, tuples=(block.tuples[r] for r in kept))
 
 
@@ -556,7 +555,7 @@ def kernelize_urfc(inst: GurfcInstance, budget: int | None = None) -> KernelResu
     Exponent 0: the instance is decided outright and a constant-size
     equivalent instance with no tuples is emitted.  In all other cases the
     output is (G, F') with F' a subset of F and an identical solution set.
-    ``budget`` goes to kernelize_poly.
+    ``budget`` goes to build_capture and kernelize_poly.
     """
     if len(inst.blocks) != 1:
         raise ValueError(
@@ -571,7 +570,7 @@ def kernelize_urfc(inst: GurfcInstance, budget: int | None = None) -> KernelResu
         return KernelResult(_const_instance(answer, d, l, q), (report,))
     if e == d * l or (l == 1 and d <= 2):
         return KernelResult(inst, (KernelReport("dedup", d, l, q, e),))
-    cp = build_capture(d, l, q)
+    cp = build_capture(d, l, q, budget=budget)
     kept = kernelize_poly(block, cp, budget)
     bound = math.comb(cp.m * inst.graph.n + cp.degree_bound, cp.degree_bound)
     assert len(kept.tuples) <= bound
@@ -592,7 +591,7 @@ def kernelize_urfc(inst: GurfcInstance, budget: int | None = None) -> KernelResu
 def kernelize_gurfc(inst: GurfcInstance, budget: int | None = None) -> KernelResult:
     """Kernelize each block independently, by kernelize_urfc on the instance
     of that block alone, and take the union; ``budget`` goes to each block's
-    kernelize_poly.
+    build_capture and kernelize_poly.
 
     Every block must have kernel exponent at least 2; a degenerate block is
     an error rather than a silently wrong kernel.

@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import shlex
+import time
 
 import pytest
 
@@ -250,6 +251,34 @@ class TestKernelizeAndVerify:
                      "-o", str(tmp_path / "i.kern")])
         assert code == 3
         assert "polynomial kernel matrix" in capsys.readouterr().err
+        assert not (tmp_path / "i.kern").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "graph n=4 m=0\ncolors q=5\nblock d=4 l=4 count=1\n"
+            "1 2 3 4 1 2 3 4 1 2 3 4 1 2 3 4\n",
+            "graph n=11 m=0\ncolors q=12\nblock d=11 l=2 count=0\n",
+        ],
+        ids=["d4-l4-q5", "d11-l2-q12-empty"],
+    )
+    @pytest.mark.parametrize(
+        "flags", [["--budget", "1000"], []], ids=["flag", "default"]
+    )
+    def test_capture_expansion_exit_code(
+        self, tmp_path, capsys, monkeypatch, text, flags
+    ):
+        # refused before the capture is built: that build ran out of memory
+        # or ran for more than 30 s when nothing charged it
+        inst = tmp_path / "i.urfc"
+        inst.write_text(text)
+        monkeypatch.delenv("CCKER_BUDGET", raising=False)
+        start = time.perf_counter()
+        code = main(["kernelize", "--problem", "urfc", *flags, str(inst),
+                     "-o", str(tmp_path / "i.kern")])
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert "capture expansion" in capsys.readouterr().err
         assert not (tmp_path / "i.kern").exists()
 
     def test_urfc_kernel_verifies(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,12 +18,13 @@ from ccker.instances import (
     GurfcInstance,
     RccInstance,
     canonical_subset,
+    parse_urfc,
 )
 from ccker.oracles import solve_urfc
 from ccker.polykernel import (
     CapturePair,
+    CapturePoly,
     CaptureUnavailableError,
-    SparsePoly,
     build_capture,
     check_captures,
     kernelize_product_pruning,
@@ -32,7 +34,7 @@ from ccker.polykernel import (
     smallest_prime_geq,
     vandermonde_set,
 )
-from ccker.polykernel import _check_exact, _ones_det
+from ccker.polykernel import _check_exact, _det_terms, _expand
 from ccker.relations import _radix_weights, make_nur
 
 
@@ -48,7 +50,7 @@ def reference_kernel_tuples(block, cp):
     p, m = cp.p, cp.m
     terms = [
         (coeff, tuple((var // m, var % m) for var in mono))
-        for mono, coeff in cp.poly.terms.items()
+        for mono, coeff in term_list(cp.poly)
     ]
     ids: dict = {}
     keys: list = []
@@ -99,14 +101,24 @@ def reference_kernel_tuples(block, cp):
     return tuple(kept)
 
 
-def evaluate(poly, point):
-    """The value of ``poly`` at ``point``, indexable by variable, term by term."""
+def term_list(poly):
+    """The (variables repeated by exponent, coefficient) pairs of a
+    CapturePoly, padding dropped, in row order."""
+    return [
+        (tuple(v for v in slots if v >= 0), coeff)
+        for slots, coeff in zip(poly.terms.tolist(), poly.coeffs.tolist())
+    ]
+
+
+def evaluate(poly, point, p):
+    """The value mod p of ``poly`` at ``point``, indexable by variable, term
+    by term."""
     total = 0
-    for mono, coeff in poly.terms.items():
+    for mono, coeff in term_list(poly):
         for v in mono:
             coeff *= point[v]
         total += coeff
-    return total % poly.p
+    return total % p
 
 
 def modular_rank(rows, p):
@@ -142,39 +154,50 @@ class TestPrimeField:
             build_capture(2, 2, 3, 6)
 
 
-poly_coeffs = st.lists(
-    st.tuples(st.lists(st.integers(0, 3), max_size=4), st.integers(-6, 6)),
+# a sum of terms: (variables, coefficient) pairs, variables unsorted
+poly_sums = st.lists(
+    st.tuples(st.lists(st.integers(0, 3), max_size=4).map(tuple), st.integers(-6, 6)),
     max_size=5,
 )
 
 
-def build_poly(p, raw):
-    out = SparsePoly(p, {})
-    for variables, coeff in raw:
-        out = out + SparsePoly(p, {tuple(sorted(variables)): coeff})
-    return out
+def evaluate_sum(terms, point):
+    return sum(c * math.prod(point[v] for v in mono) for mono, c in terms)
 
 
-class TestSparsePoly:
-    @given(poly_coeffs, poly_coeffs, st.lists(st.integers(0, 6), min_size=4, max_size=4))
+class TestExpand:
+    @given(
+        st.lists(poly_sums, max_size=4),
+        st.lists(st.integers(0, 6), min_size=4, max_size=4),
+    )
     @settings(max_examples=80, deadline=None)
-    def test_evaluation_is_ring_homomorphism(self, raw1, raw2, point):
+    def test_evaluation_is_multiplicative(self, factors, point):
         p = 7
-        a, b = build_poly(p, raw1), build_poly(p, raw2)
-        assert evaluate(a + b, point) == (evaluate(a, point) + evaluate(b, point)) % p
-        assert evaluate(a * b, point) == evaluate(a, point) * evaluate(b, point) % p
+        product = math.prod(evaluate_sum(f, point) for f in factors) % p
+        assert evaluate(_expand(factors, p), point, p) == product
+
+    @given(st.lists(poly_sums, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_merged_and_reduced(self, factors):
+        p = 5
+        poly = _expand(factors, p)
+        monos = [mono for mono, _ in term_list(poly)]
+        assert len(set(monos)) == len(monos)
+        assert all(list(mono) == sorted(mono) for mono in monos)
+        assert all(0 < c < p for c in poly.coeffs.tolist())
+        assert poly.terms.shape == (len(monos), max(poly.degree, 1))
 
     def test_no_zero_coefficients_stored(self):
         p = 5
-        a = SparsePoly(p, {(0,): 3})
-        b = SparsePoly(p, {(0,): 2})
-        assert (a + b).terms == {}
+        poly = _expand([[((0,), 3), ((0,), 2)]], p)
+        assert poly.terms.shape == (0, 1) and poly.coeffs.size == 0
 
     def test_product_merges_exponents(self):
         p = 5
-        a = SparsePoly(p, {(0, 1): 2, (): 1})
-        assert (a * a).terms == {(0, 0, 1, 1): 4, (0, 1): 4, (): 1}
-        assert (a * a).degree == 4
+        a = [((0, 1), 2), ((), 1)]
+        poly = _expand([a, a], p)
+        assert dict(term_list(poly)) == {(0, 0, 1, 1): 4, (0, 1): 4, (): 1}
+        assert poly.degree == 4
 
 
 class TestVandermonde:
@@ -197,13 +220,15 @@ class TestVandermonde:
                 assert modular_rank(rows, p) == t
 
 
+def variable_columns(m, t):
+    """Rows 1..t-1 of the first t columns of an m x t matrix of variables,
+    flattened column-major, as _det_terms entries."""
+    return [[[((b * m + a,), 1)] for a in range(1, t)] for b in range(t)]
+
+
 def variable_det(m, t, p):
-    """The ones-row determinant on the first t columns of an m x t matrix of
-    variables, flattened column-major."""
-    columns = [
-        [SparsePoly(p, {(b * m + a,): 1}) for a in range(1, t)] for b in range(t)
-    ]
-    return _ones_det(columns, p)
+    """The ones-row determinant of variable_columns(m, t) over GF(p)."""
+    return _expand([_det_terms(variable_columns(m, t))], p)
 
 
 class TestDetPoly:
@@ -211,7 +236,7 @@ class TestDetPoly:
         poly = variable_det(2, 2, 3)
         for a in range(3):
             for b in range(3):
-                assert evaluate(poly, [1, a, 1, b]) == (b - a) % 3
+                assert evaluate(poly, [1, a, 1, b], 3) == (b - a) % 3
 
     def test_degree(self):
         assert variable_det(3, 3, 5).degree == 2
@@ -224,10 +249,22 @@ class TestDetPoly:
         for i, j in itertools.combinations(range(5), 2):
             # column-major flattening: columns are vecs[i], vecs[i], vecs[j]
             flat = list(vecs[i]) + list(vecs[i]) + list(vecs[j])
-            assert evaluate(poly, flat) == 0
+            assert evaluate(poly, flat, 5) == 0
         for i, j, h in itertools.combinations(range(5), 3):
             distinct = list(vecs[i]) + list(vecs[j]) + list(vecs[h])
-            assert evaluate(poly, distinct) != 0
+            assert evaluate(poly, distinct, 5) != 0
+
+    @pytest.mark.parametrize("d,count", [(1, 3), (2, 14), (3, 78), (4, 504)])
+    def test_term_counts(self, d, count):
+        # the counts the capture expansion is charged: d! for a plain
+        # determinant, d!(1 + d(d+1)) for one extended by an affine column
+        assert len(_det_terms(variable_columns(d, d))) == math.factorial(d)
+        m = d + 1
+        columns = variable_columns(m, m)[:d]
+        last = [
+            [((), 1)] + [((b * m + a,), -1) for b in range(d)] for a in range(1, m)
+        ]
+        assert len(_det_terms(columns + [last])) == count
 
 
 # (d, l, q, largest n) for the reference-engine comparison: p = 2, 3 and 5,
@@ -265,8 +302,7 @@ CAPTURE_DIGESTS = {
 @pytest.mark.parametrize("shape", sorted(CAPTURE_DIGESTS))
 def test_capture_terms_pinned(shape):
     assert set(CAPTURE_SHAPES) <= set(CAPTURE_DIGESTS)
-    terms = build_capture(*shape).poly.terms
-    pairs = sorted(terms.items())
+    pairs = sorted(term_list(build_capture(*shape).poly))
     digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
     assert (len(pairs), digest) == CAPTURE_DIGESTS[shape]
 
@@ -297,8 +333,7 @@ class TestCapture:
 
     def test_corrupted_pair_fails(self):
         cp = build_capture(2, 2, 3)
-        mono = next(iter(cp.poly.terms))
-        broken = SparsePoly(cp.p, {m: c for m, c in cp.poly.terms.items() if m != mono})
+        broken = CapturePoly(cp.poly.terms[1:], cp.poly.coeffs[1:])
         bad = CapturePair(
             cp.p, cp.m, cp.d, cp.l, cp.q, cp.colors, broken, cp.item, cp.degree_bound
         )
@@ -309,6 +344,20 @@ class TestCapture:
         with pytest.raises(BudgetExceededError):
             check_captures(cp, budget=10)
 
+    def test_expansion_charge(self, monkeypatch):
+        # 2!^3 * 7^2 Leibniz terms, charged on every call, cached or not
+        assert build_capture(2, 3, 3, budget=392) is build_capture(2, 3, 3)
+        with pytest.raises(BudgetExceededError, match="capture expansion: 392 steps"):
+            build_capture(2, 3, 3, budget=391)
+        monkeypatch.setenv("CCKER_BUDGET", "391")
+        with pytest.raises(BudgetExceededError, match="exceed budget 391"):
+            build_capture(2, 3, 3)
+
+    def test_expansion_beyond_4096_factors_is_a_formula(self):
+        formula = r"1000000!\^2\*1000001000001\^1 steps"
+        with pytest.raises(BudgetExceededError, match=formula):
+            build_capture(10**6, 2, 10**6 + 1)
+
     def test_vectorized_matches_scalar_evaluation(self):
         cp = build_capture(2, 2, 3)
         p = cp.p
@@ -317,7 +366,7 @@ class TestCapture:
             for col, color in enumerate(assign):
                 for row in range(cp.m):
                     point[col * cp.m + row] = cp.colors[color][row]
-            value = evaluate(cp.poly, point)
+            value = evaluate(cp.poly, point, p)
             flat = [c + 1 for c in assign]
             from ccker.relations import is_uniformly_rainbow
 
@@ -331,9 +380,9 @@ class TestKernelizePoly:
 
     def test_zero_capture_keeps_nothing(self):
         cp = build_capture(2, 2, 3)
+        empty = CapturePoly(np.full((0, 1), -1), np.zeros(0, dtype=np.int64))
         zero = CapturePair(
-            cp.p, cp.m, cp.d, cp.l, cp.q, cp.colors, SparsePoly(cp.p),
-            cp.item, cp.degree_bound,
+            cp.p, cp.m, cp.d, cp.l, cp.q, cp.colors, empty, cp.item, cp.degree_bound
         )
         (block,) = generate.gen_urfc(5, 2, 2, 3, 0.5, 0.3, 1).blocks
         assert kernelize_poly(block, zero).tuples == ()
@@ -526,14 +575,36 @@ class TestKernelizeUrfc:
             kernelize_urfc(inst)
 
 
+# A capture expansion far over any budget, on instances that are quick to
+# read: a (4,4,5) capture has 3.07e9 Leibniz terms, an (11,2,12) one 2.1e17,
+# although its block holds no tuples.
+HUGE_CAPTURES = [
+    "graph n=4 m=0\ncolors q=5\nblock d=4 l=4 count=1\n"
+    "1 2 3 4 1 2 3 4 1 2 3 4 1 2 3 4\n",
+    "graph n=11 m=0\ncolors q=12\nblock d=11 l=2 count=0\n",
+]
+
+
 class TestKernelizeGurfc:
     def test_budget_reaches_kernel_matrix(self):
+        # a budget of 28 admits the (2,2,3) capture's 2! * 14 terms
         inst = generate.gen_urfc(6, 2, 2, 3, 0.5, 0.3, 1)
         with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
-            kernelize_gurfc(inst, budget=10)
+            kernelize_gurfc(inst, budget=28)
         with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
-            kernelize_urfc(inst, budget=10)
+            kernelize_urfc(inst, budget=28)
+        for kernelize in (kernelize_gurfc, kernelize_urfc):
+            with pytest.raises(BudgetExceededError, match="capture expansion"):
+                kernelize(inst, budget=27)
         assert kernelize_gurfc(inst, budget=10**6) == kernelize_gurfc(inst)
+
+    @pytest.mark.parametrize("text", HUGE_CAPTURES)
+    @pytest.mark.parametrize("budget", [1000, None])
+    def test_capture_expansion_refused_before_building(self, text, budget):
+        inst = parse_urfc(text)
+        for kernelize in (kernelize_gurfc, kernelize_urfc):
+            with pytest.raises(BudgetExceededError, match="capture expansion"):
+                kernelize(inst, budget=budget)
 
     def test_single_block_matches_urfc(self):
         inst = generate.gen_urfc(6, 2, 2, 3, 0.8, 0.3, 5)

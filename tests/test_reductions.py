@@ -382,8 +382,11 @@ class TestKernelizeCliquekv:
             kernelize_cliquekv(inst, 2, 2)
 
     def test_budget_reaches_kernel_matrix(self):
+        # a budget of 6 admits the first block's capture, of 3! terms
         inst = generate.gen_cliquekv(4, 2, 2, 1)
         with pytest.raises(BudgetExceededError, match="polynomial kernel matrix"):
-            kernelize_cliquekv(inst, 3, 2, budget=1)
+            kernelize_cliquekv(inst, 3, 2, budget=6)
+        with pytest.raises(BudgetExceededError, match="capture expansion"):
+            kernelize_cliquekv(inst, 3, 2, budget=5)
         full = kernelize_cliquekv(inst, 3, 2)
         assert kernelize_cliquekv(inst, 3, 2, budget=10**6) == full
